@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test verify-robustness verify-perf verify-obs verify-serve verify-streaming verify-campaign bench examples smoke clean
+.PHONY: install test verify-robustness verify-perf verify-e2e verify-obs verify-serve verify-streaming verify-campaign bench examples smoke clean
 
 install:
 	$(PYTHON) setup.py develop
@@ -18,16 +18,25 @@ verify-robustness:
 	PYTHONPATH=src $(PYTHON) -m repro run ItalyPowerDemand --method IPS \
 		--max-train 16 --max-test 20 --k 3 --budget-seconds 0.0
 
-# Kernel-engine gate: batched-vs-scalar equivalence and multi-backend
-# tests, then the micro-benchmark smoke (100 queries x 50 series) and
-# the per-backend sweep. Writes machine-keyed results (including the
-# "backends" section) to BENCH_kernels.json; fails if the batched path
+# Kernel-engine gate: batched-vs-scalar equivalence, multi-backend and
+# batched-STOMP differential tests, then the micro-benchmark smoke
+# (100 queries x 50 series) and the per-backend sweep. Writes
+# machine-keyed results (including the "backends" section) to
+# BENCH_kernels.json; fails if the batched path
 # is slower than the scalar loops, if a float64 backend is not
 # bit-identical to the reference, if float32 exceeds its error bound,
 # or if the persistent spectra store records no cross-run disk hits.
 verify-perf:
-	PYTHONPATH=src $(PYTHON) -m pytest -q tests/test_kernels.py tests/test_kernel_backends.py
+	PYTHONPATH=src $(PYTHON) -m pytest -q tests/test_kernels.py tests/test_kernel_backends.py \
+		tests/test_stomp_batched.py
 	PYTHONPATH=src $(PYTHON) -m repro.benchlib.perfbench
+
+# End-to-end benchmark: the benchmark's smoke tests, then one full run of
+# each workload (end-to-end metrics; about a minute each).
+verify-e2e:
+	$(PYTHON) -m pytest e2ebench/test_smoke.py -q
+	python3 e2ebench/run.py --workload fit_long --seed 1 --seconds 42 --trace 0
+	python3 e2ebench/run.py --workload fit_many --seed 1 --seconds 42 --trace 0
 
 # Observability gate: span-tree/metrics/manifest/JSONL + telemetry
 # tests (the `obs` marker), then the overhead benchmark — counters mode

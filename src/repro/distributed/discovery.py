@@ -44,14 +44,11 @@ from repro.distributed.faults import DroppedResult, FaultInjector, FaultPlan
 from repro.distributed.interrupt import GracefulInterrupt
 from repro.exceptions import EmptyPoolError, QuorumError, ValidationError
 from repro.filters.dabf import DABF, PruneReport
-from repro.instanceprofile.candidates import CandidatePool
-from repro.instanceprofile.profile import instance_profile
+from repro.instanceprofile.candidates import BagSample, CandidatePool, bag_candidates
 from repro.instanceprofile.sampling import resolve_lengths
-from repro.matrixprofile.discovery import top_k_discords, top_k_motifs
 from repro.obs import DEFAULT_JSONL_PATH, make_tracer, run_manifest
-from repro.ts.concat import concatenate_series
 from repro.ts.series import Dataset
-from repro.types import Candidate, CandidateKind, DiscoveryResult
+from repro.types import Candidate, DiscoveryResult
 
 
 def validate_unit_result(value: object) -> str | None:
@@ -81,33 +78,19 @@ def generate_unit_candidates(unit: WorkUnit) -> list[Candidate]:
 
     Module-level (picklable) so it can run in a process pool. Returns the
     motif and discord candidates of the unit's concatenated sample at
-    every requested length.
+    every requested length; those profiles share one batched STOMP row
+    loop, through the same helper the serial generator runs per round.
     """
-    sample = concatenate_series(unit.X_rows, instance_ids=np.asarray(unit.rows))
-    candidates: list[Candidate] = []
-    min_instance = int(np.diff(sample.boundaries).min())
-    for length in unit.lengths:
-        if length > min_instance:
-            continue
-        ip = instance_profile(sample, length, normalized=unit.normalized)
-        if not np.any(np.isfinite(ip.values)):
-            continue
-        for kind, picker, per in (
-            (CandidateKind.MOTIF, top_k_motifs, unit.motifs_per_profile),
-            (CandidateKind.DISCORD, top_k_discords, unit.discords_per_profile),
-        ):
-            for position, _value in picker(ip.profile, per):
-                instance_id, offset = ip.locate(position)
-                candidates.append(
-                    Candidate(
-                        values=ip.subsequence(position),
-                        label=unit.label,
-                        kind=kind,
-                        source_instance=instance_id,
-                        start=offset,
-                        sample_id=unit.sample_id,
-                    )
-                )
+    sample = BagSample(
+        unit.label, unit.sample_id, np.asarray(unit.rows), unit.X_rows
+    )
+    [candidates] = bag_candidates(
+        [sample],
+        list(unit.lengths),
+        unit.motifs_per_profile,
+        unit.discords_per_profile,
+        unit.normalized,
+    )
     return candidates
 
 

@@ -10,11 +10,12 @@ for interpretability.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 from repro.exceptions import EmptyPoolError, ValidationError
-from repro.instanceprofile.profile import instance_profile
+from repro.instanceprofile.profile import instance_profiles
 from repro.instanceprofile.sampling import BaggingSampler
 from repro.kernels import SeriesCache
 from repro.matrixprofile.discovery import top_k_discords, top_k_motifs
@@ -121,54 +122,80 @@ def _harvest(
         )
 
 
-def _unit_candidates(
-    dataset: Dataset,
-    rows: np.ndarray,
-    label: int,
-    sample_id: int,
+class BagSample(NamedTuple):
+    """One (class, bagging sample) work unit of Algorithm 1."""
+
+    label: int
+    sample_id: int
+    #: Dataset row ids of the sampled instances (candidate provenance).
+    rows: np.ndarray
+    #: Their values, one instance per row.
+    X_rows: np.ndarray
+
+
+def bag_candidates(
+    units: list[BagSample],
     lengths: list[int],
     motifs_per_profile: int,
     discords_per_profile: int,
     normalized: bool,
     counters=None,
     tracer=NULL_TRACER,
-) -> list[Candidate]:
-    """Algorithm-1 inner loop for one (class, sample) work unit.
+) -> list[list[Candidate]]:
+    """Algorithm-1 inner loop for several work units at once.
+
+    Each unit's sample is concatenated and profiled at every candidate
+    length that fits its shortest instance. All those instance profiles,
+    across units, run through one batched STOMP row loop (a ``"stomp"``
+    span); then each unit harvests its motifs and discords, per length,
+    in a ``"unit"`` span with one ``"mp"`` span per length. Returns the
+    candidates of each unit, in unit order.
 
     Each unit gets a private :class:`~repro.kernels.SeriesCache` scoped
     to its concatenated sample: the sample's cumulative sums and FFT
     spectra are computed once and reused across the whole candidate-length
-    grid, then released with the unit (bounding memory over the
-    ``Q_N x n_classes`` unit stream). ``counters`` aggregates the cache's
-    hit/miss/FFT tallies into the run-wide perf counters; ``tracer``
-    records one ``"unit"`` span with nested per-length ``"mp"`` spans.
+    grid, then released with the call. ``counters`` aggregates the
+    caches' hit/miss/FFT tallies into the run-wide perf counters.
     """
-    with tracer.span("unit", label=label, sample_id=sample_id) as unit_span:
-        sample = concatenate_series(dataset.X[rows], instance_ids=rows)
-        unit_cache = SeriesCache(counters=counters)
-        unit: list[Candidate] = []
+    requests = []
+    owners = []
+    for index, unit in enumerate(units):
+        sample = concatenate_series(unit.X_rows, instance_ids=unit.rows)
+        cache = SeriesCache(counters=counters)
         min_instance = int(np.diff(sample.boundaries).min())
         for length in lengths:
-            if length > min_instance:
-                # Window longer than some instance: skip this length.
-                continue
-            with tracer.span("mp", length=length) as mp_span:
-                ip = instance_profile(
-                    sample, length, normalized=normalized, cache=unit_cache
-                )
-                if not np.any(np.isfinite(ip.values)):
-                    mp_span.set(degenerate=True)
-                    continue
-                _harvest(
-                    unit, ip, label, sample_id, CandidateKind.MOTIF,
-                    motifs_per_profile,
-                )
-                _harvest(
-                    unit, ip, label, sample_id, CandidateKind.DISCORD,
-                    discords_per_profile,
-                )
-        unit_span.set(n_candidates=len(unit))
-    return unit
+            # A window longer than some instance is skipped.
+            if length <= min_instance:
+                requests.append((sample, length, cache))
+                owners.append(index)
+    with tracer.span("stomp", problems=len(requests)):
+        profiles = instance_profiles(requests, normalized=normalized)
+    by_unit: list[list] = [[] for _ in units]
+    for index, ip in zip(owners, profiles):
+        by_unit[index].append(ip)
+
+    out: list[list[Candidate]] = []
+    for unit, unit_profiles in zip(units, by_unit):
+        with tracer.span(
+            "unit", label=unit.label, sample_id=unit.sample_id
+        ) as unit_span:
+            found: list[Candidate] = []
+            for ip in unit_profiles:
+                with tracer.span("mp", length=ip.window) as mp_span:
+                    if not np.any(np.isfinite(ip.values)):
+                        mp_span.set(degenerate=True)
+                        continue
+                    _harvest(
+                        found, ip, unit.label, unit.sample_id,
+                        CandidateKind.MOTIF, motifs_per_profile,
+                    )
+                    _harvest(
+                        found, ip, unit.label, unit.sample_id,
+                        CandidateKind.DISCORD, discords_per_profile,
+                    )
+            unit_span.set(n_candidates=len(found))
+        out.append(found)
+    return out
 
 
 def generate_candidates(
@@ -205,8 +232,9 @@ def generate_candidates(
         Reproducibility seed for the bagging sampler.
     budget_tracker:
         Optional :class:`repro.core.budget.BudgetTracker`. Units are
-        processed round-robin across classes (all classes at sample 0,
-        then sample 1, ...) and the budget is checked between rounds, so
+        processed one round at a time (all classes at sample 0, then
+        sample 1, ...; a round's instance profiles share one batched
+        STOMP row loop) and the budget is checked between rounds, so
         an exhausted budget truncates at a round boundary with every
         class equally covered. The first round always completes. The
         per-class candidate lists are identical to the unbudgeted run up
@@ -217,9 +245,11 @@ def generate_candidates(
         caches report their hit/miss/FFT tallies into it. Never affects
         the candidates produced.
     tracer:
-        Optional :class:`repro.obs.Trace`; each work unit records a
-        ``"unit"`` span (label, sample id, candidate count) containing a
-        ``"mp"`` span per candidate length. Defaults to the no-op
+        Optional :class:`repro.obs.Trace`; each round records a
+        ``"round"`` span (sample id) holding the batched kernel's
+        ``"stomp"`` span and then one ``"unit"`` span (label, sample id,
+        candidate count) per class, containing an ``"mp"`` span per
+        candidate length for the harvest. Defaults to the no-op
         :data:`repro.obs.NULL_TRACER`.
     """
     if tracer is None:
@@ -243,12 +273,13 @@ def generate_candidates(
     for sample_id in range(q_n):
         if budget_tracker is not None and sample_id > 0 and budget_tracker.exhausted:
             break
+        units = []
         for label in range(dataset.n_classes):
-            unit = _unit_candidates(
-                dataset,
-                samples_by_class[label][sample_id],
-                label,
-                sample_id,
+            rows = samples_by_class[label][sample_id]
+            units.append(BagSample(label, sample_id, rows, dataset.X[rows]))
+        with tracer.span("round", sample_id=sample_id):
+            found = bag_candidates(
+                units,
                 lengths,
                 motifs_per_profile,
                 discords_per_profile,
@@ -256,6 +287,7 @@ def generate_candidates(
                 counters=perf_counters,
                 tracer=tracer,
             )
+        for unit in found:
             for candidate in unit:
                 pool.add(candidate)
             if budget_tracker is not None:

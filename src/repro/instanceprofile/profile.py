@@ -8,7 +8,7 @@ import numpy as np
 
 from repro.kernels import SeriesCache
 from repro.matrixprofile.profile import MatrixProfile
-from repro.matrixprofile.stomp import stomp_self_join
+from repro.matrixprofile.stomp import SelfJoin, stomp_self_join_batch
 from repro.ts.concat import ConcatenatedSeries
 from repro.ts.windows import num_windows
 
@@ -43,6 +43,53 @@ class InstanceProfile:
         return self.sample.values[position : position + self.window].copy()
 
 
+def _instance_join(
+    sample: ConcatenatedSeries,
+    window: int,
+    normalized: bool,
+    cache: SeriesCache | None,
+) -> SelfJoin:
+    """The self-join behind one instance profile (Def. 8/9)."""
+    n_out = num_windows(len(sample), window)
+    valid = sample.valid_window_mask(window)
+    if sample.n_instances > 1:
+        starts = np.arange(n_out)
+        groups = np.searchsorted(sample.boundaries, starts, side="right") - 1
+    else:
+        groups = None
+    return SelfJoin(
+        sample.values,
+        window,
+        valid_mask=valid,
+        normalized=normalized,
+        groups=groups,
+        cache=cache,
+    )
+
+
+def instance_profiles(
+    requests: list[tuple[ConcatenatedSeries, int, SeriesCache | None]],
+    normalized: bool = True,
+) -> list[InstanceProfile]:
+    """Instance profiles of several ``(sample, window, cache)`` requests.
+
+    All of them run through one batched STOMP row loop
+    (:func:`repro.matrixprofile.stomp.stomp_self_join_batch`); each
+    profile is bit-identical to :func:`instance_profile` on its request
+    alone.
+    """
+    joins = [
+        _instance_join(sample, window, normalized, cache)
+        for sample, window, cache in requests
+    ]
+    return [
+        InstanceProfile(profile=profile, sample=sample, window=window)
+        for profile, (sample, window, _cache) in zip(
+            stomp_self_join_batch(joins), requests
+        )
+    ]
+
+
 def instance_profile(
     sample: ConcatenatedSeries,
     window: int,
@@ -62,19 +109,4 @@ def instance_profile(
     generator share the sample's cumulative sums and FFT spectra across
     the candidate-length grid instead of recomputing them per length.
     """
-    n_out = num_windows(len(sample), window)
-    valid = sample.valid_window_mask(window)
-    if sample.n_instances > 1:
-        starts = np.arange(n_out)
-        groups = np.searchsorted(sample.boundaries, starts, side="right") - 1
-    else:
-        groups = None
-    profile = stomp_self_join(
-        sample.values,
-        window,
-        valid_mask=valid,
-        normalized=normalized,
-        groups=groups,
-        cache=cache,
-    )
-    return InstanceProfile(profile=profile, sample=sample, window=window)
+    return instance_profiles([(sample, window, cache)], normalized)[0]

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,18 @@ pytestmark = pytest.mark.robustness
 
 def _sig(shapelets):
     return [(s.label, s.source_instance, s.start, len(s.values)) for s in shapelets]
+
+
+def _pool_digest(pool) -> str:
+    digest = hashlib.sha256()
+    for c in pool:
+        digest.update(
+            repr(
+                (c.label, c.kind.value, c.source_instance, c.start, c.sample_id, c.values.size)
+            ).encode()
+        )
+        digest.update(np.ascontiguousarray(c.values, dtype=np.float64).tobytes())
+    return digest.hexdigest()
 
 
 class TestBudgetObject:
@@ -108,6 +122,38 @@ class TestAnytimeIPS:
         assert not a.completed
         assert _sig(a.shapelets) == _sig(b.shapelets)
         assert a.n_candidates_generated == b.n_candidates_generated
+
+    @pytest.mark.parametrize(
+        ("budget", "rounds", "n_candidates", "digest"),
+        [
+            (
+                Budget(max_seconds=0.0),
+                1,
+                20,
+                "f54515b539e1749c0c134c3a344eeb1ea96f106f198c540672ca194af14222e5",
+            ),
+            (
+                Budget(max_candidates=25),
+                2,
+                40,
+                "9f8036f22d36f6d4adf38220d993011bd048b20466f7db79bf026e445e5de0d8",
+            ),
+        ],
+        ids=["zero_deadline", "max_candidates"],
+    )
+    def test_truncation_round_and_pool_are_pinned(
+        self, planted, budget, rounds, n_candidates, digest
+    ):
+        """Generation runs whole rounds, so a budget stops it at the same
+        round with the same pool as when every instance profile ran its
+        own STOMP loop (digests computed with that loop)."""
+        q_n = 6 if budget.max_seconds is not None else 8
+        ips = IPS(IPSConfig(q_n=q_n, q_s=2, k=3, seed=0, budget=budget))
+        result = ips.discover(planted)
+        assert not result.completed
+        assert result.extra["budget"]["progress"]["generation"]["rounds_completed"] == rounds
+        assert len(ips.pool_) == n_candidates
+        assert _pool_digest(ips.pool_) == digest
 
     def test_budgeted_classifier_still_usable(self, planted):
         """Acceptance: tight budget -> no exception, above-chance accuracy."""

@@ -16,6 +16,7 @@ from repro.distributed import (
 )
 from repro.distributed.discovery import generate_unit_candidates
 from repro.exceptions import ValidationError
+from repro.instanceprofile import BaggingSampler, generate_candidates
 
 
 @pytest.fixture(scope="module")
@@ -110,3 +111,51 @@ class TestDistributedDiscovery:
         b = DistributedIPS(config).discover(planted)
         for s1, s2 in zip(a.shapelets, b.shapelets):
             assert np.array_equal(s1.values, s2.values)
+
+    def test_serial_executor_pool_equals_generate_candidates(
+        self, planted, config, monkeypatch
+    ):
+        """Given the same bagging samples, the distributed workers (one
+        batched kernel per unit) and ``generate_candidates`` (one per
+        round) build the same pool. The two draw their samples with
+        different RNG schemes by design, so the serial generator is fed
+        the distributed units' samples."""
+        dist = DistributedIPS(config, SerialExecutor())
+        units = dist.build_work_units(planted)
+        merged = {}
+        merge = dist._merge_outcomes
+
+        def capture(*args, **kwargs):
+            merged["pool"], stats = merge(*args, **kwargs)
+            return merged["pool"], stats
+
+        monkeypatch.setattr(dist, "_merge_outcomes", capture)
+        dist.discover(planted)
+
+        rows_by_class: dict[int, list[np.ndarray]] = {}
+        for unit in units:
+            rows_by_class.setdefault(unit.label, []).append(np.asarray(unit.rows))
+        monkeypatch.setattr(
+            BaggingSampler,
+            "samples_for_class",
+            lambda self, class_rows: rows_by_class[int(planted.y[class_rows[0]])],
+        )
+        serial = generate_candidates(
+            planted,
+            q_n=config.q_n,
+            q_s=config.q_s,
+            lengths=list(units[0].lengths),
+            motifs_per_profile=config.motifs_per_profile,
+            discords_per_profile=config.discords_per_profile,
+            normalized=config.normalized_profiles,
+            seed=config.seed,
+        )
+
+        def signature(pool):
+            return [
+                (c.label, c.kind, c.source_instance, c.start, c.sample_id, c.values.tobytes())
+                for c in pool
+            ]
+
+        assert len(serial) > 0
+        assert signature(merged["pool"]) == signature(serial)

@@ -284,6 +284,33 @@ class TestDiscoveryTrace:
         assert counters["kernels.kernel_calls"] >= 0
 
 
+class TestGenerationSpans:
+    def test_round_holds_kernel_then_units(self, dataset):
+        """generation > round > (stomp, unit > mp): one batched kernel per
+        bagging round, then one harvest span per class."""
+        trace = IPS(_config(observability="trace")).discover(dataset).extra["trace"]
+        [generation] = trace.find("generation")
+        rounds = generation.children
+        assert [r.name for r in rounds] == ["round"] * 8
+        for sample_id, round_span in enumerate(rounds):
+            assert round_span.attrs["sample_id"] == sample_id
+            names = [child.name for child in round_span.children]
+            assert names == ["stomp", "unit", "unit"]
+            stomp = round_span.children[0]
+            units = round_span.children[1:]
+            mp_spans = [mp for unit in units for mp in unit.children]
+            assert stomp.attrs["problems"] == len(mp_spans)
+            assert all(mp.name == "mp" for mp in mp_spans)
+            assert [u.attrs["label"] for u in units] == [0, 1]
+
+    def test_kernel_counters_unchanged_by_batching(self, dataset):
+        """Per-unit caches keep kernel tallies at their per-row-loop values."""
+        perf = IPS(_config(observability="counters")).discover(dataset).extra["perf"]
+        assert perf["kernel_calls"] == 80
+        assert perf["fft_count"] == 224
+        assert perf["cache_hit_rate"] == pytest.approx(1 / 3, abs=0.0)
+
+
 class TestOffMode:
     def test_off_is_bit_identical_and_allocation_free(self, dataset):
         reference = IPS(_config(observability="counters")).discover(dataset)
