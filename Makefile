@@ -18,17 +18,15 @@ verify-robustness:
 	PYTHONPATH=src $(PYTHON) -m repro run ItalyPowerDemand --method IPS \
 		--max-train 16 --max-test 20 --k 3 --budget-seconds 0.0
 
-# Kernel-engine gate: batched-vs-scalar equivalence, multi-backend and
+# Kernel-engine gate: batched-vs-scalar equivalence, byte-budget and
 # batched-STOMP differential tests, then the micro-benchmark smoke
-# (100 queries x 50 series) and the per-backend sweep. Writes
-# machine-keyed results (including the "backends" section) to
-# BENCH_kernels.json; fails if the batched path
-# is slower than the scalar loops, if a float64 backend is not
-# bit-identical to the reference, if float32 exceeds its error bound,
-# or if the persistent spectra store records no cross-run disk hits.
+# (100 queries x 50 series) and the spectra-store check. Writes
+# machine-keyed results (including the "spectra_store" section) to
+# BENCH_kernels.json; fails if the batched path is slower than the
+# scalar loops or if the persistent spectra store records no cross-run
+# disk hits.
 verify-perf:
-	PYTHONPATH=src $(PYTHON) -m pytest -q tests/test_kernels.py tests/test_kernel_backends.py \
-		tests/test_stomp_batched.py
+	PYTHONPATH=src $(PYTHON) -m pytest -q tests/test_kernels.py tests/test_stomp_batched.py
 	PYTHONPATH=src $(PYTHON) -m repro.benchlib.perfbench
 
 # End-to-end benchmark: the benchmark's smoke tests, then one full run of

@@ -64,7 +64,7 @@ def headline_metrics(kind: str, record: dict) -> dict[str, float]:
     ``record`` is the per-machine dict the BENCH file stores (and the
     benchmark ``main`` holds right before persisting). Missing sections
     are skipped, never raised — benches run with partial flags
-    (``--obs-only``, ``--no-sweep``) still produce a useful line.
+    (``--obs-only``) still produce a useful line.
     """
     if kind not in BENCH_FILES:
         raise ValidationError(
@@ -94,10 +94,7 @@ def headline_metrics(kind: str, record: dict) -> dict[str, float]:
             "telemetry",
         )
         grab(
-            "spectra.cross_run_hit_rate",
-            "backends",
-            "spectra_store",
-            "cross_run_hit_rate",
+            "spectra.cross_run_hit_rate", "spectra_store", "cross_run_hit_rate"
         )
     elif kind == "serve":
         grab("steady.p50_latency_s", "steady", "p50_latency_s")

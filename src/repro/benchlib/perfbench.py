@@ -11,12 +11,10 @@ The process exits non-zero when the batched path fails to beat the
 scalar path — the engine's whole reason to exist — making the target a
 regression gate, not just a report.
 
-A per-backend sweep follows (skippable with ``--no-sweep``): every
-registered kernel backend runs the same workload, float64 backends are
-gated on bit-identity with the reference, ``float32`` on its advertised
-error bound, and a persistent :class:`~repro.kernels.SpectraStore` is
-exercised across two cold caches to prove a cross-run disk hit rate > 0.
-Results land in the ``"backends"`` section of ``BENCH_kernels.json``.
+A persistent :class:`~repro.kernels.SpectraStore` is then exercised
+across two cold caches of the same workload, gated on a cross-run disk
+hit rate > 0. Results land in the ``"spectra_store"`` section of
+``BENCH_kernels.json``.
 
 With ``--obs-only`` the observability-overhead benchmark runs instead
 (``make verify-obs``): full ``IPS.discover`` runs are timed in the
@@ -47,11 +45,8 @@ from repro.kernels import (
     PerfCounters,
     SeriesCache,
     SpectraStore,
-    backend_names,
     batch_mass,
     batch_min_distance,
-    choose_backend,
-    get_backend,
     mass,
     subsequence_distance,
 )
@@ -165,83 +160,25 @@ def run_benchmark(
     }
 
 
-def run_backend_sweep(
+def run_spectra_store_check(
     n_queries: int = DEFAULT_QUERIES,
     n_series: int = DEFAULT_SERIES,
     series_length: int = DEFAULT_SERIES_LENGTH,
     query_length: int = DEFAULT_QUERY_LENGTH,
-    repeats: int = 3,
     seed: int = 0,
 ) -> dict:
-    """Benchmark every registered kernel backend on one workload.
+    """Run one workload twice against a fresh persistent spectra store.
 
-    Three gates, all correctness- rather than timing-based (micro-scale
-    timings of the sharded backend are dominated by process start-up and
-    would flap):
-
-    * every float64 backend must reproduce the ``reference`` output
-      bit-for-bit;
-    * the ``float32`` backend must stay within its advertised
-      ``atol``/``rtol`` error bound against the reference;
-    * a second run against the same persistent :class:`SpectraStore`
-      must hit on disk (cross-run hit rate > 0) — the whole point of the
-      store.
-
-    Timings per backend are recorded for the report either way.
+    The gate: the second run, with a cold in-memory cache, must hit on
+    disk (cross-run hit rate > 0) — the whole point of the store.
     """
     import tempfile
 
     rng = np.random.default_rng(seed)
     X = rng.normal(size=(n_series, series_length))
-    queries = rng.normal(size=(n_queries, query_length))
-    query_list = list(queries)
+    query_list = list(rng.normal(size=(n_queries, query_length)))
 
     failures: list[str] = []
-    results: dict[str, dict] = {}
-    reference = batch_min_distance(
-        query_list, X, cache=SeriesCache(backend="reference")
-    )
-    ref_seconds = None
-    for name in backend_names():
-        spec = get_backend(name)
-
-        def run():
-            return batch_min_distance(
-                query_list, X, cache=SeriesCache(backend=spec)
-            )
-
-        output = run()
-        seconds = _best_of(repeats, run)
-        if ref_seconds is None:
-            ref_seconds = seconds
-        entry: dict = {
-            "seconds": seconds,
-            "speedup_vs_reference": (
-                ref_seconds / seconds if seconds > 0 else float("inf")
-            ),
-            "precision": spec.precision,
-            "layout": spec.layout,
-            "sharded": spec.sharded,
-        }
-        if spec.bit_identical:
-            entry["bit_identical"] = bool(np.array_equal(output, reference))
-            if not entry["bit_identical"]:
-                failures.append(
-                    f"{name}: output differs from the reference backend"
-                )
-        else:
-            error = np.abs(output - reference)
-            bound = spec.atol + spec.rtol * np.abs(reference)
-            entry["max_abs_error"] = float(error.max())
-            entry["bound_ok"] = bool(np.all(error <= bound))
-            if not entry["bound_ok"]:
-                failures.append(
-                    f"{name}: error {entry['max_abs_error']:.2e} exceeds "
-                    f"atol={spec.atol:g} + rtol={spec.rtol:g} * |ref|"
-                )
-        results[name] = entry
-
-    # -- Persistent spectra store: second run must hit on disk.
     with tempfile.TemporaryDirectory(prefix="repro-spectra-") as tmp:
         store = SpectraStore(tmp)
         first = PerfCounters()
@@ -252,24 +189,9 @@ def run_backend_sweep(
         batch_min_distance(
             query_list, X, cache=SeriesCache(second, store=store)
         )
-        store_record = {
-            "entries": len(store),
-            "first_run": {
-                "disk_hits": first.spectra_disk_hits,
-                "disk_misses": first.spectra_disk_misses,
-                "fft_count": first.fft_count,
-            },
-            "second_run": {
-                "disk_hits": second.spectra_disk_hits,
-                "disk_misses": second.spectra_disk_misses,
-                "fft_count": second.fft_count,
-            },
-            "cross_run_hit_rate": second.spectra_disk_hit_rate,
-        }
-        if not second.spectra_disk_hits:
-            failures.append(
-                "spectra store: second run recorded zero disk hits"
-            )
+        entries = len(store)
+    if not second.spectra_disk_hits:
+        failures.append("spectra store: second run recorded zero disk hits")
 
     return {
         "workload": {
@@ -277,12 +199,20 @@ def run_backend_sweep(
             "n_series": n_series,
             "series_length": series_length,
             "query_length": query_length,
-            "repeats": repeats,
             "seed": seed,
         },
-        "auto_choice": choose_backend(n_series, series_length).name,
-        "results": results,
-        "spectra_store": store_record,
+        "entries": entries,
+        "first_run": {
+            "disk_hits": first.spectra_disk_hits,
+            "disk_misses": first.spectra_disk_misses,
+            "fft_count": first.fft_count,
+        },
+        "second_run": {
+            "disk_hits": second.spectra_disk_hits,
+            "disk_misses": second.spectra_disk_misses,
+            "fft_count": second.fft_count,
+        },
+        "cross_run_hit_rate": second.spectra_disk_hit_rate,
         "gate": {"passed": not failures, "failures": failures},
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"),
     }
@@ -499,12 +429,6 @@ def main(argv: list[str] | None = None) -> int:
         "(gates counters-mode overhead at <=2%%)",
     )
     parser.add_argument(
-        "--no-sweep",
-        action="store_true",
-        help="skip the per-backend sweep (bit-identity, float32 error "
-        "bound, and persistent spectra-store gates)",
-    )
-    parser.add_argument(
         "--output",
         type=Path,
         default=Path(__file__).resolve().parents[3] / "BENCH_kernels.json",
@@ -584,35 +508,21 @@ def main(argv: list[str] | None = None) -> int:
             file=sys.stderr,
         )
 
-    if not args.no_sweep:
-        sweep = run_backend_sweep(
-            n_queries=args.queries,
-            n_series=args.series,
-            series_length=args.series_length,
-            query_length=args.query_length,
-            repeats=args.repeats,
-        )
-        persist({"backends": sweep}, args.output)
-        for name, entry in sweep["results"].items():
-            line = f"backend:{name:<11}{entry['seconds']:.4f}s"
-            if "bit_identical" in entry:
-                line += (
-                    "   bit-identical"
-                    if entry["bit_identical"]
-                    else "   MISMATCH"
-                )
-            else:
-                line += f"   max err {entry['max_abs_error']:.2e}"
-            print(line)
-        hit_rate = sweep["spectra_store"]["cross_run_hit_rate"]
-        print(
-            f"spectra store      cross-run hit rate {hit_rate:.0%}   "
-            f"auto choice: {sweep['auto_choice']}"
-        )
-        if not sweep["gate"]["passed"]:
-            for failure in sweep["gate"]["failures"]:
-                print(f"FAIL: {failure}", file=sys.stderr)
-            failed = True
+    store_record = run_spectra_store_check(
+        n_queries=args.queries,
+        n_series=args.series,
+        series_length=args.series_length,
+        query_length=args.query_length,
+    )
+    persist({"spectra_store": store_record}, args.output)
+    print(
+        f"spectra store      cross-run hit rate "
+        f"{store_record['cross_run_hit_rate']:.0%}"
+    )
+    if not store_record["gate"]["passed"]:
+        for failure in store_record["gate"]["failures"]:
+            print(f"FAIL: {failure}", file=sys.stderr)
+        failed = True
 
     _append_history(args.output)
     print(f"results written to {args.output}")

@@ -120,11 +120,16 @@ class LinearSVM(ParamsMixin):
         return self
 
     def decision_function(self, X: np.ndarray) -> np.ndarray:
-        """Signed margins ``w . x + b``."""
+        """Signed margins ``w . x + b``.
+
+        Each row's dot product is evaluated on its own (``vecdot``, not a
+        BLAS matrix-vector product, whose rounding depends on how many
+        rows it gets), so a row scores the same bits in any batch.
+        """
         if self.coef_ is None:
             raise NotFittedError("call fit before decision_function")
         X = np.asarray(X, dtype=np.float64)
-        return X @ self.coef_ + self.intercept_
+        return np.vecdot(X, self.coef_) + self.intercept_
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         """Labels in {-1, +1}."""

@@ -164,19 +164,6 @@ class IPSConfig:
         disables the reuse (the equivalence-testing and micro-benchmark
         arm). Perf counters are collected regardless and surface at
         ``DiscoveryResult.extra["perf"]``.
-    kernel_backend:
-        Execution strategy of the batched FFT kernels: a registered
-        backend name (``"reference"``, ``"float32"``, ``"tiled"``,
-        ``"sharded"`` — see :mod:`repro.kernels.backends`) or ``"auto"``
-        (default), which lets :func:`repro.kernels.choose_backend` pick a
-        bit-identical strategy from the training-set shape at
-        ``SeriesCache`` build time. ``"float32"`` is the only choice that
-        trades precision (tested error bound) and is never auto-selected.
-        The resolved name is recorded in run manifests.
-    kernel_tile_budget:
-        Working-set budget in bytes for the ``tiled`` backend and the
-        auto-tuner's fits-in-budget test. ``None`` uses
-        ``repro.kernels.backends.DEFAULT_TILE_BUDGET`` (32 MiB).
     spectra_cache_dir:
         Optional directory of a persistent
         :class:`repro.kernels.SpectraStore`. When set, the run's
@@ -237,8 +224,6 @@ class IPSConfig:
     min_class_size: int = 2
     budget: Budget | None = None
     kernel_cache: bool = True
-    kernel_backend: str = "auto"
-    kernel_tile_budget: int | None = None
     spectra_cache_dir: str | None = None
     observability: str = "counters"
     obs_jsonl_path: str | None = None
@@ -294,18 +279,6 @@ class IPSConfig:
             raise ValidationError(
                 f"unknown observability {self.observability!r}; "
                 f"choose from {OBSERVABILITY_MODES}"
-            )
-        if self.kernel_backend != "auto":
-            # Fail at construction, not mid-discovery, on unknown names.
-            from repro.kernels.backends import get_backend
-
-            get_backend(self.kernel_backend)
-        if self.kernel_tile_budget is not None and self.kernel_tile_budget < (
-            1 << 16
-        ):
-            raise ValidationError(
-                "kernel_tile_budget must be >= 64 KiB when set, got "
-                f"{self.kernel_tile_budget}"
             )
         if self.streaming_margin_threshold < 0:
             raise ValidationError(

@@ -36,32 +36,6 @@ from repro.ts.series import Dataset
 from repro.types import DiscoveryResult, ParamsMixin, PredictorMixin, Shapelet
 
 
-def resolve_kernel_backend(config: IPSConfig, dataset: Dataset):
-    """The run's kernel :class:`~repro.kernels.BackendSpec`.
-
-    ``config.kernel_backend == "auto"`` invokes the auto-tuner on the
-    training-set shape (never trading precision); a concrete name looks
-    up the registry, with ``config.kernel_tile_budget`` overriding the
-    tile/auto-tuner budget either way.
-    """
-    from repro.kernels import choose_backend, get_backend
-    from repro.kernels.backends import DEFAULT_TILE_BUDGET
-
-    budget = (
-        config.kernel_tile_budget
-        if config.kernel_tile_budget is not None
-        else DEFAULT_TILE_BUDGET
-    )
-    if config.kernel_backend == "auto":
-        return choose_backend(
-            dataset.n_series, dataset.series_length, budget_bytes=budget
-        )
-    overrides = (
-        {"budget_bytes": budget} if config.kernel_tile_budget is not None else {}
-    )
-    return get_backend(config.kernel_backend, **overrides)
-
-
 def restore_emptied_classes(
     original: CandidatePool, pruned: CandidatePool
 ) -> CandidatePool:
@@ -133,8 +107,6 @@ class IPS:
         self.prune_report_: PruneReport | None = None
         self.perf_counters_: PerfCounters | None = None
         self.kernel_cache_: SeriesCache | None = None
-        #: Resolved kernel BackendSpec of the last run (set by discover).
-        self.kernel_backend_ = None
         #: Trace of the last run (``None`` unless tracing was active).
         self.trace_ = None
         # A tracer pre-seeded by IPSClassifier so the validation span and
@@ -163,10 +135,8 @@ class IPS:
         if tracer is None:
             tracer = make_tracer(config.observability)
         self.trace_ = tracer if tracer.active else None
-        backend = resolve_kernel_backend(config, dataset)
-        self.kernel_backend_ = backend
         if tracer.active:
-            tracer.manifest = run_manifest(config, dataset, kernel_backend=backend)
+            tracer.manifest = run_manifest(config, dataset)
         counters = (
             PerfCounters()
             if config.observability != "off"
@@ -176,15 +146,10 @@ class IPS:
         # Run-wide series cache shared by the scoring and transform phases
         # (generation uses per-unit caches to bound memory — see
         # instanceprofile.candidates — but reports into the same counters).
-        # The cache carries the resolved backend (so every batched kernel
-        # downstream runs under it) and, when configured, the persistent
-        # on-disk spectra store shared across runs.
+        # When configured, the cache carries the persistent on-disk
+        # spectra store shared across runs.
         run_cache = (
-            SeriesCache(
-                counters=counters,
-                backend=backend,
-                store=config.spectra_cache_dir,
-            )
+            SeriesCache(counters=counters, store=config.spectra_cache_dir)
             if config.kernel_cache
             else None
         )
@@ -332,18 +297,16 @@ class IPS:
             "lengths": lengths,
             "prune_report": report,
             "scores_by_class": scores_by_class,
-            "kernel_backend": backend.name,
+            # There is one float64 kernel path; the key stays for
+            # readers that record which path ran.
+            "kernel_backend": "reference",
         }
         if counters.enabled:
             perf = counters.snapshot()
             extra["perf"] = perf
             global_metrics().accumulate_perf(perf)
-            global_metrics().counter(f"kernels.backend_runs.{backend.name}")
             if tracer.active:
                 tracer.metrics.absorb_perf(perf)
-                tracer.metrics.counter(
-                    f"kernels.backend_runs.{backend.name}"
-                )
         completed = True
         if tracker is not None:
             tracker.record_phase(

@@ -11,7 +11,9 @@ baselines) behind one facade:
   shapelet transform);
 * batched kernels — :func:`batch_mass`, :func:`batch_min_distance`,
   :func:`batch_sliding_dot`, :func:`batch_distance_profile` replace
-  per-query Python loops with vectorized multi-query FFT convolutions;
+  per-query Python loops with vectorized multi-query FFT convolutions,
+  all on one float64 path whose intermediates are blocked under a fixed
+  byte budget;
 * scalar kernels — :func:`mass`, :func:`distance_profile`,
   :func:`sliding_dot_product`, :func:`sliding_mean_std`,
   :func:`subsequence_distance` (keyword-only options), the reference
@@ -29,13 +31,6 @@ from __future__ import annotations
 
 import warnings
 
-from repro.kernels.backends import (
-    BackendSpec,
-    backend_names,
-    choose_backend,
-    get_backend,
-    register_backend,
-)
 from repro.kernels.cache import SeriesCache
 from repro.kernels.rolling import RollingStats
 from repro.kernels.store import SpectraStore
@@ -64,26 +59,21 @@ from repro.kernels.perf import (
 
 __all__ = [
     "NULL_PERF_COUNTERS",
-    "BackendSpec",
     "NullPerfCounters",
     "PerfCounters",
     "RollingStats",
     "SeriesCache",
     "SpectraStore",
-    "backend_names",
     "batch_distance_profile",
     "batch_mass",
     "batch_min_distance",
     "batch_sliding_dot",
-    "choose_backend",
     "direct_distance_profile",
     "direct_min_distance",
     "direct_window_dots",
     "distance_profile",
     "euclidean_distance",
-    "get_backend",
     "mass",
-    "register_backend",
     "raw_distance_profile",
     "reset_deprecation_warnings",
     "sliding_dot_product",

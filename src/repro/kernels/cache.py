@@ -31,10 +31,6 @@ lifetime and ``id`` reuse cannot alias entries. Consequences for callers:
 1-D and 2-D arrays are both accepted; all quantities are computed along
 the last axis, so a 2-D ``(M, N)`` dataset matrix gets batched rolling
 stats and spectra in one shot.
-
-A cache may also carry the run's kernel :class:`~repro.kernels.BackendSpec`
-(``backend=``): the batched kernels consult it when no explicit backend is
-passed, which is how ``IPSConfig.kernel_backend`` reaches the hot path.
 """
 
 from __future__ import annotations
@@ -43,7 +39,6 @@ import numpy as np
 from scipy import fft as sp_fft
 
 from repro.exceptions import CacheIntegrityError
-from repro.kernels.backends import BackendSpec, get_backend
 from repro.kernels.perf import PerfCounters
 from repro.kernels.rolling import RollingStats
 from repro.kernels.store import SpectraStore, content_digest, spectrum_key
@@ -71,9 +66,8 @@ class _Entry:
         self.rolling: RollingStats | None = None
         self.mean_std: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         self.ssq: dict[int, np.ndarray] = {}
-        #: Keyed by ``(n_fft, dtype char)`` — float32 and float64 spectra
-        #: of the same series coexist without aliasing.
-        self.spectra: dict[tuple[int, str], np.ndarray] = {}
+        #: Keyed by FFT size.
+        self.spectra: dict[int, np.ndarray] = {}
         #: Content SHA-256; set lazily (persistent-store keys, debug mode).
         self.digest: str | None = None
 
@@ -87,10 +81,6 @@ class SeriesCache:
         Optional :class:`~repro.kernels.PerfCounters`; hit/miss/FFT tallies
         are recorded there. A fresh instance is created when omitted so the
         cache can always report its own statistics.
-    backend:
-        Optional kernel :class:`~repro.kernels.BackendSpec` (or registry
-        name) the batched kernels should run under when no explicit
-        backend is given. ``None`` means the reference backend.
     store:
         Optional persistent :class:`~repro.kernels.SpectraStore` (or a
         directory path for one). Spectrum misses consult the store before
@@ -109,14 +99,10 @@ class SeriesCache:
         self,
         counters: PerfCounters | None = None,
         *,
-        backend: BackendSpec | str | None = None,
         store: SpectraStore | str | None = None,
         debug_fingerprint: bool = False,
     ) -> None:
         self.counters = counters if counters is not None else PerfCounters()
-        if isinstance(backend, str):
-            backend = get_backend(backend)
-        self.backend: BackendSpec | None = backend
         if store is not None and not isinstance(store, SpectraStore):
             store = SpectraStore(store)
         self.store: SpectraStore | None = store
@@ -212,39 +198,37 @@ class SeriesCache:
         entry.ssq[window] = self._rolling(entry).window_ssq(window)
         return entry.ssq[window]
 
-    def spectrum(self, arr, n_fft: int, dtype=np.float64) -> np.ndarray:
+    def spectrum(self, arr, n_fft: int) -> np.ndarray:
         """Real FFT of ``arr`` zero-padded to ``n_fft`` (last axis).
 
         This is the expensive half of every sliding dot product; caching
-        it means each series is transformed once per (FFT size, compute
-        dtype) instead of once per query. With a persistent ``store``,
-        misses consult the on-disk cache first, so the transform happens
-        once per dataset *across* runs, not per run.
+        it means each series is transformed once per FFT size instead of
+        once per query. With a persistent ``store``, misses consult the
+        on-disk cache first, so the transform happens once per dataset
+        *across* runs, not per run.
         """
         entry = self._entry(arr)
-        dtype = np.dtype(dtype)
-        key = (n_fft, dtype.char)
-        cached = entry.spectra.get(key)
+        cached = entry.spectra.get(n_fft)
         if cached is not None:
             self.counters.cache_hits += 1
             return cached
         self.counters.cache_misses += 1
         a = entry.array
-        if dtype != np.float64:
-            a = a.astype(dtype)
         if self.store is not None:
-            store_key = spectrum_key(self._digest(entry), n_fft, dtype)
+            # float64 stays in the key material, so stores written by
+            # earlier versions keep hitting.
+            store_key = spectrum_key(self._digest(entry), n_fft, np.float64)
             loaded = self.store.load(store_key)
             if loaded is not None:
                 self.counters.spectra_disk_hits += 1
-                entry.spectra[key] = loaded
+                entry.spectra[n_fft] = loaded
                 return loaded
             self.counters.spectra_disk_misses += 1
         self.counters.fft_count += 1 if a.ndim == 1 else int(
             np.prod(a.shape[:-1])
         )
         spectrum = sp_fft.rfft(a, n_fft, axis=-1)
-        entry.spectra[key] = spectrum
+        entry.spectra[n_fft] = spectrum
         if self.store is not None:
             self.store.save(store_key, spectrum)
         return spectrum

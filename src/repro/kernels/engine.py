@@ -23,18 +23,14 @@ elementwise formula keeps its operation order. Discovery results are
 therefore unchanged whether caching/batching is on or off — the
 equivalence suite in ``tests/test_kernels.py`` pins this down.
 
-Backends
---------
-The batched FFT paths run under a selectable
-:class:`~repro.kernels.BackendSpec` (``backend=`` keyword, or the spec
-attached to the :class:`~repro.kernels.SeriesCache`): the ``reference``
-float64 path, a ``float32`` path with a tested error bound, a ``tiled``
-float64 path with its working set blocked to a byte budget, and a
-``sharded`` path fanning series rows across a retrying process pool. All
-float64 backends keep the bit-compatibility contract above; only
-``float32`` trades precision, and only when asked. Below the direct-method
-cutover there is no FFT and the backends are indistinguishable by
-construction. See :mod:`repro.kernels.backends`.
+Memory bound
+------------
+There is one batched FFT path, in float64. Its pointwise products and
+inverse transforms run in blocks whose simultaneous intermediates stay
+under one byte budget, ``_CHUNK_BYTES``: blocks of queries over all
+series, and blocks of series rows for one query at a time when a single
+query over all series would already exceed it. Row FFTs are
+independent, so the blocking never changes an output bit.
 """
 
 from __future__ import annotations
@@ -43,8 +39,6 @@ import numpy as np
 from scipy import fft as sp_fft
 
 from repro.exceptions import LengthError, ValidationError
-from repro.kernels import backends as _backends
-from repro.kernels.backends import BackendSpec, get_backend
 from repro.kernels.cache import SeriesCache
 from repro.ts.preprocessing import FLAT_STD
 from repro.ts.windows import num_windows
@@ -55,30 +49,16 @@ _FFT_CUTOVER = 8
 
 #: Hard ceiling, in bytes, on the *simultaneous* intermediates of one
 #: batched inverse-FFT block: the complex pointwise product (16 B/element
-#: over the half spectrum at float64, 8 B at float32) plus the inverse
-#: transform's output buffer (8 B/element over the full FFT length, 4 B
-#: at float32). Query chunks are sized so their sum stays below it — the
-#: predecessor sized chunks by *element count* of the output alone, so
-#: actual peak memory ran ~3x the documented ceiling.
+#: over the half spectrum) plus the inverse transform's output buffer
+#: (8 B/element over the full FFT length). Blocks are sized so their sum
+#: stays below it — the predecessor sized chunks by *element count* of
+#: the output alone, so actual peak memory ran ~3x the documented ceiling.
 _CHUNK_BYTES = 1 << 26
 
 
-def _resolve_spec(
-    cache: SeriesCache | None, backend: BackendSpec | str | None
-) -> BackendSpec:
-    """The backend to run under: explicit arg > cache's spec > reference."""
-    if backend is not None:
-        return get_backend(backend) if isinstance(backend, str) else backend
-    if cache is not None and cache.backend is not None:
-        return cache.backend
-    return _backends.REFERENCE
-
-
-def _intermediate_bytes_per_row(n_fft: int, dtype: np.dtype) -> int:
+def _intermediate_bytes_per_row(n_fft: int) -> int:
     """Bytes of simultaneous intermediates per (series, query) FFT row."""
-    complex_itemsize = 2 * dtype.itemsize
-    n_rfft = n_fft // 2 + 1
-    return complex_itemsize * n_rfft + dtype.itemsize * n_fft
+    return 16 * (n_fft // 2 + 1) + 8 * n_fft
 
 
 def _fft_size(n_series: int, n_query: int) -> int:
@@ -278,131 +258,53 @@ def _as_query_matrix(queries) -> np.ndarray:
     return arr
 
 
-def _batch_dots_1d(
-    queries: np.ndarray,
-    series: np.ndarray,
-    cache: SeriesCache | None,
-    spec: BackendSpec | None = None,
+def _batch_dots(
+    queries: np.ndarray, series: np.ndarray, cache: SeriesCache | None
 ) -> np.ndarray:
-    """Sliding dot products of ``(Q, L)`` queries over one 1-D series."""
-    spec = spec if spec is not None else _resolve_spec(cache, None)
-    n_queries, length = queries.shape
-    n_out = num_windows(series.size, length)
-    if cache is not None:
-        # Scalar-equivalent accounting: Q query sweeps, on both branches,
-        # so batched and scalar runs report comparable totals.
-        cache.counters.kernel_calls += n_queries
-    if n_out <= _FFT_CUTOVER:
-        windows = np.lib.stride_tricks.sliding_window_view(series, length)
-        # Per-query matvec keeps bit parity with the scalar direct path.
-        return np.stack([windows @ q for q in queries])
-    n_fft = _fft_size(series.size, length)
-    dtype = spec.compute_dtype
-    if cache is not None:
-        spec_series = cache.spectrum(series, n_fft, dtype=dtype)
-        cache.counters.fft_count += 2 * n_queries
-    elif dtype == np.float64:
-        spec_series = sp_fft.rfft(series, n_fft)
-    else:
-        spec_series = sp_fft.rfft(series.astype(dtype), n_fft)
-    reversed_queries = queries[:, ::-1]
-    if dtype != np.float64:
-        reversed_queries = reversed_queries.astype(dtype)
-    spec_queries = sp_fft.rfft(reversed_queries, n_fft, axis=-1)
-    out = np.empty((n_queries, n_out), dtype=np.float64)
-    # A single series rarely needs chunking, but the tiled backend (and
-    # the byte ceiling) still bound the intermediates for huge batches.
-    budget = spec.budget_bytes if spec.layout == "tiled" else _CHUNK_BYTES
-    chunk = max(1, budget // _intermediate_bytes_per_row(n_fft, dtype))
-    for start in range(0, n_queries, chunk):
-        stop = min(start + chunk, n_queries)
-        prod = spec_series[None, :] * spec_queries[start:stop]
-        full = sp_fft.irfft(prod, n_fft, axis=-1)
-        del prod
-        out[start:stop, :] = full[:, length - 1 : length - 1 + n_out]
-    return out
+    """Sliding dot products of ``(Q, L)`` queries over a 1-D or 2-D series.
 
-
-def _tile_shape(
-    n_series: int, n_queries: int, n_fft: int, dtype: np.dtype, budget: int
-) -> tuple[int, int]:
-    """(series rows, query columns) per tile under the byte budget.
-
-    Prefers square-ish tiles: both axes benefit from staying resident,
-    and a degenerate 1-row tile would serialize the inverse FFTs.
+    Returns ``(M, Q, n_out)`` for a ``(M, N)`` matrix and ``(1, Q,
+    n_out)`` for a 1-D series. One batched FFT covers all series (cached
+    across calls), one covers all queries; the products and inverse
+    transforms run in blocks under ``_CHUNK_BYTES`` (see "Memory bound"
+    in the module docstring).
     """
-    per_cell = _intermediate_bytes_per_row(n_fft, dtype)
-    cells = max(1, budget // per_cell)
-    q_tile = int(min(n_queries, max(1, np.sqrt(cells))))
-    s_tile = int(min(n_series, max(1, cells // q_tile)))
-    return s_tile, q_tile
-
-
-def _batch_dots_2d(
-    queries: np.ndarray,
-    X: np.ndarray,
-    cache: SeriesCache | None,
-    spec: BackendSpec | None = None,
-) -> np.ndarray:
-    """Sliding dot products of ``(Q, L)`` queries over ``(M, N)`` series.
-
-    Returns ``(M, Q, n_out)``. One batched FFT covers all series (cached
-    across calls), one covers all queries; the pointwise products run in
-    blocks whose simultaneous intermediates are sized, *in bytes*, to
-    stay under the backend's budget (``_CHUNK_BYTES`` for the reference
-    backend, ``spec.budget_bytes`` for the tiled one, which additionally
-    blocks over series rows). The sharded backend fans series rows out
-    across a process pool instead.
-    """
-    spec = spec if spec is not None else _resolve_spec(cache, None)
+    X = series if series.ndim == 2 else series[None, :]
     n_queries, length = queries.shape
     n_series, n_points = X.shape
     n_out = num_windows(n_points, length)
     if cache is not None:
+        # Scalar-equivalent accounting: M * Q query sweeps, on both
+        # branches, so batched and scalar runs report comparable totals.
         cache.counters.kernel_calls += n_series * n_queries
     if n_out <= _FFT_CUTOVER:
         windows = np.lib.stride_tricks.sliding_window_view(X, length, axis=-1)
         out = np.empty((n_series, n_queries, n_out), dtype=np.float64)
+        # Per-(series, query) matvec keeps bit parity with the scalar
+        # direct path.
         for qi, q in enumerate(queries):
             for si in range(n_series):
                 out[si, qi] = windows[si] @ q
         return out
     n_fft = _fft_size(n_points, length)
-    if spec.sharded and n_series > 1:
-        if cache is not None:
-            # The shards really execute this many transforms: every worker
-            # transforms the full query batch, plus one inverse per
-            # (series, query) row and one forward per series row.
-            n_shards = max(1, min(spec.max_workers, n_series))
-            cache.counters.fft_count += (
-                n_shards * n_queries + n_series * n_queries + n_series
-            )
-        return _backends.sharded_batch_dots_2d(queries, X, spec)
-    dtype = spec.compute_dtype
     if cache is not None:
-        spec_x = cache.spectrum(X, n_fft, dtype=dtype)
+        spec_x = cache.spectrum(series, n_fft).reshape(n_series, -1)
         cache.counters.fft_count += n_queries * (1 + n_series)
-    elif dtype == np.float64:
+    else:
         spec_x = sp_fft.rfft(X, n_fft, axis=-1)
-    else:
-        spec_x = sp_fft.rfft(X.astype(dtype), n_fft, axis=-1)
-    reversed_queries = queries[:, ::-1]
-    if dtype != np.float64:
-        reversed_queries = reversed_queries.astype(dtype)
-    spec_queries = sp_fft.rfft(reversed_queries, n_fft, axis=-1)
+    spec_queries = sp_fft.rfft(queries[:, ::-1], n_fft, axis=-1)
+    # Allocated after the spectra: allocating it first raised the peak RSS
+    # of a 1000-series transform by ~0.6 MB (allocator reuse order).
     out = np.empty((n_series, n_queries, n_out), dtype=np.float64)
-    if spec.layout == "tiled":
-        s_tile, q_tile = _tile_shape(
-            n_series, n_queries, n_fft, dtype, spec.budget_bytes
-        )
+    rows = max(1, _CHUNK_BYTES // _intermediate_bytes_per_row(n_fft))
+    if n_series <= rows:
+        s_block, q_block = n_series, rows // n_series
     else:
-        s_tile = n_series
-        per_query = n_series * _intermediate_bytes_per_row(n_fft, dtype)
-        q_tile = max(1, _CHUNK_BYTES // per_query)
-    for s_start in range(0, n_series, s_tile):
-        s_stop = min(s_start + s_tile, n_series)
-        for q_start in range(0, n_queries, q_tile):
-            q_stop = min(q_start + q_tile, n_queries)
+        s_block, q_block = rows, 1
+    for s_start in range(0, n_series, s_block):
+        s_stop = min(s_start + s_block, n_series)
+        for q_start in range(0, n_queries, q_block):
+            q_stop = min(q_start + q_block, n_queries)
             prod = (
                 spec_x[s_start:s_stop, None, :]
                 * spec_queries[None, q_start:q_stop, :]
@@ -415,13 +317,7 @@ def _batch_dots_2d(
     return out
 
 
-def batch_sliding_dot(
-    queries,
-    series,
-    *,
-    cache: SeriesCache | None = None,
-    backend: BackendSpec | str | None = None,
-):
+def batch_sliding_dot(queries, series, *, cache: SeriesCache | None = None):
     """Sliding dot products of a query batch against one or many series.
 
     Parameters
@@ -434,21 +330,15 @@ def batch_sliding_dot(
     cache:
         Optional :class:`~repro.kernels.SeriesCache`; series spectra are
         computed once per FFT size and shared across calls.
-    backend:
-        Optional :class:`~repro.kernels.BackendSpec` (or registry name)
-        selecting the execution strategy; defaults to the spec attached
-        to ``cache``, else the bit-exact ``reference`` backend.
     """
     queries = _as_query_matrix(queries)
     series = np.asarray(series, dtype=np.float64)
-    spec = _resolve_spec(cache, backend)
+    if series.ndim not in (1, 2):
+        raise ValidationError("series must be 1-D or a 2-D (M, N) matrix")
     if cache is not None:
         cache.counters.batch_calls += 1
-    if series.ndim == 1:
-        return _batch_dots_1d(queries, series, cache, spec)
-    if series.ndim == 2:
-        return _batch_dots_2d(queries, series, cache, spec)
-    raise ValidationError("series must be 1-D or a 2-D (M, N) matrix")
+    dots = _batch_dots(queries, series, cache)
+    return dots if series.ndim == 2 else dots[0]
 
 
 def batch_distance_profile(
@@ -456,7 +346,6 @@ def batch_distance_profile(
     series,
     *,
     cache: SeriesCache | None = None,
-    backend: BackendSpec | str | None = None,
 ):
     """Raw squared distance profiles of a same-length query batch.
 
@@ -465,7 +354,7 @@ def batch_distance_profile(
     """
     queries = _as_query_matrix(queries)
     series = np.asarray(series, dtype=np.float64)
-    dots = batch_sliding_dot(queries, series, cache=cache, backend=backend)
+    dots = batch_sliding_dot(queries, series, cache=cache)
     window_sq = _window_ssq_any(series, queries.shape[1], cache)
     # Per-query np.dot keeps bit parity with the scalar kernel.
     q_sq = np.array([float(np.dot(q, q)) for q in queries])
@@ -493,15 +382,13 @@ def batch_mass(
     *,
     normalized: bool = True,
     cache: SeriesCache | None = None,
-    backend: BackendSpec | str | None = None,
 ):
     """MASS distance profiles for a batch of same-length queries.
 
     The batched counterpart of :func:`mass`: z-normalized (default) or raw
     Euclidean distance profiles, ``(Q, n_out)`` against a 1-D series or
     ``(M, Q, n_out)`` against a ``(M, N)`` series set. Row ``q`` is
-    bit-identical to ``mass(queries[q], series)`` (under the float64
-    backends; ``backend="float32"`` is bounded, not bit-equal).
+    bit-identical to ``mass(queries[q], series)``.
     """
     queries = _as_query_matrix(queries)
     series = np.asarray(series, dtype=np.float64)
@@ -509,18 +396,14 @@ def batch_mass(
         raise ValidationError("series must be 1-D or a 2-D (M, N) matrix")
     _check_finite_mass(queries, series)
     if not normalized:
-        return np.sqrt(
-            batch_distance_profile(
-                queries, series, cache=cache, backend=backend
-            )
-        )
+        return np.sqrt(batch_distance_profile(queries, series, cache=cache))
     length = queries.shape[1]
     # Per-query scalar stats keep bit parity with the scalar kernel.
     q_means = np.array([float(q.mean()) for q in queries])
     q_stds = np.array([float(q.std()) for q in queries])
     q_denoms = np.array([length * max(s, FLAT_STD) for s in q_stds])
     means, stds = _mean_std_any(series, length, cache)
-    dots = batch_sliding_dot(queries, series, cache=cache, backend=backend)
+    dots = batch_sliding_dot(queries, series, cache=cache)
 
     t_clamped = np.maximum(stds, FLAT_STD)
     if series.ndim == 1:
@@ -565,7 +448,6 @@ def batch_min_distance(
     X,
     *,
     cache: SeriesCache | None = None,
-    backend: BackendSpec | str | None = None,
 ):
     """Def.-4 distances between every query and every series of ``X``.
 
@@ -609,7 +491,7 @@ def batch_min_distance(
         by_length.setdefault(q.size, []).append(i)
     for length, idxs in by_length.items():
         group = np.vstack([query_arrays[i] for i in idxs])
-        profiles = batch_distance_profile(group, X, cache=cache, backend=backend)
+        profiles = batch_distance_profile(group, X, cache=cache)
         out[:, idxs] = profiles.min(axis=-1) / length
     return out
 

@@ -110,33 +110,19 @@ def package_versions() -> dict:
     }
 
 
-def run_manifest(config, dataset=None, *, kernel_backend=None) -> dict:
+def run_manifest(config, dataset=None) -> dict:
     """Build the manifest of one discovery run.
 
     Only called in the trace modes — fingerprinting hashes the whole
     training matrix, which would violate the counters-mode overhead
     budget if done unconditionally.
-
-    ``kernel_backend`` is the *resolved* kernel
-    :class:`~repro.kernels.BackendSpec` of the run (the config may say
-    ``"auto"``; the manifest records what the auto-tuner actually chose).
     """
     from repro.obs.trace import jsonify
 
-    backend = None
-    if kernel_backend is not None:
-        backend = {
-            "name": kernel_backend.name,
-            "precision": kernel_backend.precision,
-            "layout": kernel_backend.layout,
-            "sharded": kernel_backend.sharded,
-            "bit_identical": kernel_backend.bit_identical,
-        }
     return {
         "created_at": time.strftime("%Y-%m-%dT%H:%M:%S"),
         "config": jsonify(dataclasses.asdict(config)),
         "seed": config.seed,
-        "kernel_backend": backend,
         "dataset": dataset_fingerprint(dataset) if dataset is not None else None,
         "versions": package_versions(),
         "platform": platform.platform(),

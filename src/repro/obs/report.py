@@ -123,25 +123,14 @@ def _render_kernel_caches(counters: dict, gauges: dict) -> str | None:
     """Cache-effectiveness summary of the kernel engine's counters.
 
     Surfaces the in-memory series cache and the persistent spectra
-    store (disk hits/misses + hit rates, PR 8's counters) plus which
-    backend ran, so cache behaviour is readable straight from
-    ``repro obs report`` instead of raw JSONL.
+    store (disk hits/misses + hit rates), so cache behaviour is readable
+    straight from ``repro obs report`` instead of raw JSONL.
     """
     mem_hits = counters.get("kernels.cache_hits")
     disk_hits = counters.get("kernels.spectra_disk_hits")
-    backends = {
-        name.split(".", 2)[2]: int(value)
-        for name, value in counters.items()
-        if name.startswith("kernels.backend_runs.")
-    }
-    if mem_hits is None and disk_hits is None and not backends:
+    if mem_hits is None and disk_hits is None:
         return None
     lines = ["kernel engine"]
-    if backends:
-        chosen = ", ".join(
-            f"{name} x{count}" for name, count in sorted(backends.items())
-        )
-        lines.append(f"  backend runs: {chosen}")
     if mem_hits is not None:
         misses = counters.get("kernels.cache_misses", 0)
         rate = gauges.get("kernels.cache_hit_rate", 0.0)

@@ -190,3 +190,18 @@ class TestIPSClassifier:
         features = clf.transform(test.X)
         assert features.shape == (test.n_series, len(clf.shapelets_))
         assert np.all(features >= 0.0)
+
+    @pytest.mark.parametrize("final_classifier", ["svm", "nb", "tree", "1nn"])
+    def test_scores_do_not_depend_on_batch_size(
+        self, planted_split, final_classifier
+    ):
+        """Served one row at a time, a series scores the offline bits."""
+        train, test = planted_split
+        clf = IPSClassifier(
+            _fast_config(final_classifier=final_classifier)
+        ).fit_dataset(train)
+        batch = clf.decision_function(test.X)
+        for i in range(test.n_series):
+            np.testing.assert_array_equal(
+                clf.decision_function(test.X[i : i + 1])[0], batch[i]
+            )

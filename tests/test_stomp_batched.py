@@ -537,5 +537,5 @@ class TestPinnedDigests:
             np.ascontiguousarray(clf.decision_function(test.X), dtype=np.float64).tobytes()
         )
         assert digest.hexdigest() == (
-            "d3f8414a3c8c759a5cf5450f11e8cc0b7f76bb9c5d32c84da864f8badae01744"
+            "6e3bc55e17bd82e64fc73ff0ee1892057819d8ea9f28c2a96c086e2cd4f635a8"
         )
