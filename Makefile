@@ -18,53 +18,38 @@ verify-robustness:
 	PYTHONPATH=src $(PYTHON) -m repro run ItalyPowerDemand --method IPS \
 		--max-train 16 --max-test 20 --k 3 --budget-seconds 0.0
 
-# Kernel-engine gate: batched-vs-scalar equivalence, byte-budget and
-# batched-STOMP differential tests, then the micro-benchmark smoke
-# (100 queries x 50 series) and the spectra-store check. Writes
-# machine-keyed results (including the "spectra_store" section) to
-# BENCH_kernels.json; fails if the batched path is slower than the
-# scalar loops or if the persistent spectra store records no cross-run
-# disk hits.
+# Kernel-engine gate: batched-vs-scalar equivalence, byte-budget,
+# spectra-store and batched-STOMP differential tests. Performance is
+# measured by `verify-e2e`.
 verify-perf:
 	PYTHONPATH=src $(PYTHON) -m pytest -q tests/test_kernels.py tests/test_stomp_batched.py
-	PYTHONPATH=src $(PYTHON) -m repro.benchlib.perfbench
 
-# End-to-end benchmark: the benchmark's smoke tests, then one full run of
-# each workload (end-to-end metrics; about a minute each).
+# End-to-end benchmark, the repo's one performance harness: the
+# benchmark's smoke tests, then one full run of each workload (end-to-end
+# and per-layer metrics for fit, predict, serve and stream; about a
+# minute each). See e2ebench/README.md.
 verify-e2e:
 	$(PYTHON) -m pytest e2ebench/test_smoke.py -q
 	python3 e2ebench/run.py --workload fit_long --seed 1 --seconds 42 --trace 0
 	python3 e2ebench/run.py --workload fit_many --seed 1 --seconds 42 --trace 0
 
 # Observability gate: span-tree/metrics/manifest/JSONL + telemetry
-# tests (the `obs` marker), then the overhead benchmark — counters mode
-# (the default) must stay within 2% of off mode on a full IPS.discover,
-# and the telemetry-instrumented serve path within 2% of (and
-# bit-identical to) the bare one. Writes the "observability" section of
-# BENCH_kernels.json and appends the run to BENCH_history.jsonl, then
-# smoke-checks `repro obs bench-diff` against the committed BENCH files.
+# tests (the `obs` marker), including instrumented-vs-bare serving
+# bit-identity.
 verify-obs:
 	PYTHONPATH=src $(PYTHON) -m pytest -q -m obs tests/
-	PYTHONPATH=src $(PYTHON) -m repro.benchlib.perfbench --obs-only
-	PYTHONPATH=src $(PYTHON) -m repro obs bench-diff --kinds kernels
 
 # Serving gate: artifact/queue/breaker unit tests plus the chaos suite
-# (crash, hang, slow, corrupt payload, corrupt artifact, overload), then
-# the load generator — p50/p99 latency and series/sec written to
-# BENCH_serve.json with a 3x regression gate against the previous run.
+# (crash, hang, slow, corrupt payload, corrupt artifact, overload) and
+# concurrent clients answered bit-identically to offline predict.
 verify-serve:
 	PYTHONPATH=src $(PYTHON) -m pytest -q -m serve tests/
-	PYTHONPATH=src $(PYTHON) -m repro.benchlib.loadgen
 
 # Streaming gate: matcher/transform/early-classifier unit + property
-# tests and the streaming-session suite, then the chunked-replay
-# benchmark — per-append p50/p99 latency, early-emission fraction
-# (must be > 0 at the calibrated threshold), final-label agreement
-# with the batch path (must be 100%), and the stream/batch throughput
-# ratio written to BENCH_streaming.json with a 3x regression gate.
+# tests and the streaming-session suite, including early emission at the
+# calibrated threshold with every label equal to the batch label.
 verify-streaming:
 	PYTHONPATH=src $(PYTHON) -m pytest -q -m streaming tests/
-	PYTHONPATH=src $(PYTHON) -m repro.benchlib.streambench
 
 # Campaign gate: the kill/resume chaos suite (campaign SIGKILL'd at
 # random cell boundaries and mid-cell, resumed under crash/hang/slow

@@ -101,12 +101,21 @@ class LogisticRegression(ParamsMixin):
         self.intercept_ = np.asarray(biases)
         return self
 
+    def _scores(self, X) -> np.ndarray:
+        """Linear scores ``w_c . x + b_c``, shape ``(M, n_classes_or_1)``.
+
+        Each row's dot products are evaluated on their own (``vecdot``,
+        not a BLAS matrix product, whose rounding depends on how many
+        rows it gets), so a row scores the same bits in any batch.
+        """
+        X = np.asarray(X, dtype=np.float64)
+        return np.vecdot(X[:, None, :], self.coef_) + self.intercept_
+
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
         """Class probabilities, shape ``(M, |C|)``."""
         if self.coef_ is None or self.classes_ is None:
             raise NotFittedError("call fit before predict_proba")
-        X = np.asarray(X, dtype=np.float64)
-        scores = X @ self.coef_.T + self.intercept_
+        scores = self._scores(X)
         if self.classes_.size == 2:
             p1 = sigmoid(scores[:, 0])
             return np.column_stack([1.0 - p1, p1])
@@ -124,8 +133,7 @@ class LogisticRegression(ParamsMixin):
         """
         if self.coef_ is None or self.classes_ is None:
             raise NotFittedError("call fit before decision_function")
-        X = np.asarray(X, dtype=np.float64)
-        scores = X @ self.coef_.T + self.intercept_
+        scores = self._scores(X)
         if self.classes_.size == 2:
             return np.column_stack([-scores[:, 0], scores[:, 0]])
         return scores

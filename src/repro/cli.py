@@ -16,15 +16,10 @@ Commands
 ``obs top``
     Terminal dashboard over a live :class:`~repro.obs.TelemetryServer`
     (``--url``) or a saved trace file (``--path``).
-``obs bench-diff``
-    Per-metric deltas of the latest benchmark runs against their
-    baselines from ``BENCH_history.jsonl``; exits non-zero on a
-    regression beyond ``--threshold``.
-``serve save`` / ``serve run`` / ``serve bench``
-    Export a fitted classifier as a checksummed model artifact, serve
-    predictions from one through the fault-hardened
-    :mod:`repro.serve` service, and drive the serving load-generator
-    gate (``BENCH_serve.json``).
+``serve save`` / ``serve run``
+    Export a fitted classifier as a checksummed model artifact, and
+    serve predictions from one through the fault-hardened
+    :mod:`repro.serve` service.
 ``stream``
     Replay a dataset's test split as chunked streams through the
     streaming service (:mod:`repro.streaming`) and report the early-
@@ -238,33 +233,6 @@ def cmd_obs_top(args: argparse.Namespace) -> int:
         _time.sleep(args.interval)
 
 
-def cmd_obs_bench_diff(args: argparse.Namespace) -> int:
-    """``repro obs bench-diff [--history PATH] [--threshold R]``"""
-    from repro.benchlib.history import (
-        diff_history,
-        load_history,
-        render_bench_diff,
-    )
-    from repro.benchlib.perfbench import machine_key
-    from repro.exceptions import ValidationError
-
-    machine = args.machine or machine_key()
-    entries = load_history(args.history)
-    try:
-        rows = diff_history(
-            entries,
-            machine=machine,
-            threshold=args.threshold,
-            kinds=tuple(args.kinds.split(",")) if args.kinds else None,
-            bench_dir=args.bench_dir,
-        )
-    except ValidationError as err:
-        print(f"bench-diff: {err}", file=sys.stderr)
-        return 2
-    print(render_bench_diff(rows, args.threshold))
-    return 1 if any(row["regression"] for row in rows) else 0
-
-
 def cmd_compare(args: argparse.Namespace) -> int:
     """``repro compare <dataset> --methods IPS,BASE``"""
     data = _load(args)
@@ -398,18 +366,6 @@ def cmd_serve_run(args: argparse.Namespace) -> int:
             print(f"  first error: {type(error).__name__}: {error}")
             break
     return 0 if n_ok == len(results) else 1
-
-
-def cmd_serve_bench(args: argparse.Namespace) -> int:
-    """``repro serve bench``"""
-    from repro.benchlib.loadgen import main as loadgen_main
-
-    argv = ["--requests", str(args.requests), "--validation", args.validation]
-    if args.deadline_ms is not None:
-        argv += ["--deadline-ms", str(args.deadline_ms)]
-    if args.queue_depth is not None:
-        argv += ["--queue-depth", str(args.queue_depth)]
-    return loadgen_main(argv)
 
 
 def cmd_stream(args: argparse.Namespace) -> int:
@@ -707,27 +663,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve_run.set_defaults(func=cmd_serve_run)
 
-    serve_bench = serve_sub.add_parser(
-        "bench", help="serving load generator + BENCH_serve.json gate"
-    )
-    serve_bench.add_argument("--requests", type=int, default=200)
-    serve_bench.add_argument(
-        "--deadline-ms",
-        type=float,
-        default=None,
-        help="per-request deadline for the steady scenario",
-    )
-    serve_bench.add_argument(
-        "--queue-depth",
-        type=int,
-        default=None,
-        help="steady-scenario queue bound (default: request count)",
-    )
-    serve_bench.add_argument(
-        "--validation", default="repair", choices=["strict", "repair", "off"]
-    )
-    serve_bench.set_defaults(func=cmd_serve_bench)
-
     stream = sub.add_parser(
         "stream",
         help="replay test series as chunked streams (early classification)",
@@ -887,39 +822,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="seconds between frames",
     )
     top.set_defaults(func=cmd_obs_top)
-
-    bench_diff = obs_sub.add_parser(
-        "bench-diff",
-        help="benchmark trajectory deltas from BENCH_history.jsonl "
-        "(exits non-zero on regression)",
-    )
-    bench_diff.add_argument(
-        "--history",
-        default="BENCH_history.jsonl",
-        help="trajectory ledger (default: ./BENCH_history.jsonl)",
-    )
-    bench_diff.add_argument(
-        "--threshold",
-        type=float,
-        default=0.25,
-        help="relative bad-direction move that counts as a regression",
-    )
-    bench_diff.add_argument(
-        "--kinds",
-        default=None,
-        help="comma-separated subset of kernels,serve,streaming",
-    )
-    bench_diff.add_argument(
-        "--machine",
-        default=None,
-        help="machine key to compare (default: this machine)",
-    )
-    bench_diff.add_argument(
-        "--bench-dir",
-        default=".",
-        help="directory holding the BENCH_*.json fallback baselines",
-    )
-    bench_diff.set_defaults(func=cmd_obs_bench_diff)
 
     return parser
 

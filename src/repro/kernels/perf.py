@@ -6,8 +6,8 @@ much distance-kernel work a discovery run performed: scalar and batched
 kernel invocations, forward/inverse FFT transforms, cache hits and misses,
 and wall-clock seconds per pipeline phase. ``IPS.discover`` attaches a
 :meth:`PerfCounters.snapshot` to ``DiscoveryResult.extra["perf"]`` so
-benchmarks (and ``BENCH_kernels.json``) can report regressions without
-re-instrumenting call sites.
+benchmarks (and ``e2ebench``'s per-layer metrics) can report regressions
+without re-instrumenting call sites.
 
 Counting is deliberately cheap (integer adds); the counters never change
 numerical results.

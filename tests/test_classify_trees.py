@@ -177,3 +177,15 @@ class TestLogisticRegression:
     def test_unfitted_rejected(self, rng):
         with pytest.raises(NotFittedError):
             LogisticRegression().predict(rng.normal(size=(2, 2)))
+
+    @pytest.mark.parametrize("n_classes", [2, 4])
+    def test_scores_do_not_depend_on_batch_size(self, rng, n_classes):
+        # A served row is scored alone; it must get the same bits as
+        # the same row inside a 300-row batch.
+        X = rng.normal(size=(300, 40))
+        y = rng.integers(0, n_classes, size=300)
+        model = LogisticRegression(max_epochs=50).fit(X, y)
+        for method in (model.decision_function, model.predict_proba):
+            batch = method(X)
+            rows = np.vstack([method(X[i : i + 1]) for i in range(len(X))])
+            np.testing.assert_array_equal(rows, batch)

@@ -45,12 +45,6 @@ class TestParser:
         assert args.queue_depth == 8
         assert args.validation == "strict"
 
-    def test_serve_bench_defaults(self):
-        args = build_parser().parse_args(["serve", "bench"])
-        assert args.requests == 200
-        assert args.deadline_ms is None
-        assert args.queue_depth is None
-
     def test_campaign_requires_subcommand(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["campaign"])

@@ -20,6 +20,7 @@ from __future__ import annotations
 import json
 import pickle
 import shutil
+import threading
 import time
 
 import numpy as np
@@ -350,6 +351,48 @@ class TestInferenceService:
         assert stats["completed"] == len(request_matrix)
         assert stats["failed"] == 0 and stats["expired"] == 0
 
+    def test_concurrent_clients_mixed_modes_bit_identical(
+        self, frozen_classifier, request_matrix
+    ):
+        # Four client threads submit interleaved rows, cycling through
+        # the label/proba/scores modes, into one service whose queue
+        # holds them all; every response must equal the offline answer.
+        offline = {
+            "label": frozen_classifier.predict(request_matrix),
+            "proba": frozen_classifier.predict_proba(request_matrix),
+            "scores": frozen_classifier.decision_function(request_matrix),
+        }
+        modes = tuple(offline)
+        n, n_clients = len(request_matrix), 4
+        responses: list = [None] * n
+        config = ServeConfig(queue_depth=n, max_batch=8)
+        with InferenceService(frozen_classifier, config) as service:
+
+            def client(indices):
+                futures = [
+                    (i, service.submit(request_matrix[i], mode=modes[i % 3]))
+                    for i in indices
+                ]
+                for i, future in futures:
+                    responses[i] = future.result(timeout=30.0)
+
+            threads = [
+                threading.Thread(target=client, args=(range(c, n, n_clients),))
+                for c in range(n_clients)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60.0)
+                assert not thread.is_alive()
+            stats = service.stats()
+        for i, response in enumerate(responses):
+            expected = offline[modes[i % 3]][i]
+            assert np.array_equal(response, expected), f"request {i}"
+        assert stats["completed"] == n
+        for key in ("failed", "shed", "rejected", "expired"):
+            assert stats[key] == 0, key
+
     def test_single_predict_matches_offline(
         self, frozen_classifier, request_matrix
     ):
@@ -474,41 +517,6 @@ class TestInferenceService:
             with pytest.raises(QueueFullError, match="full"):
                 service.submit(request_matrix[2])
             assert service.stats()["rejected"] == 1
-
-    def test_loadgen_regression_gate_semantics(self):
-        from repro.benchlib.loadgen import apply_regression_gate
-
-        def record(p99=0.01, rate=1000.0, n_requests=200):
-            return {
-                "workload": {
-                    "n_requests": n_requests, "n_clients": 4,
-                    "deadline_s": None, "validation": "repair",
-                },
-                "steady": {
-                    "p99_latency_s": p99, "series_per_second": rate,
-                    "mismatches": 0, "n_errors": 0,
-                },
-                "overload": {"mismatches": 0},
-                "gate": {
-                    "bit_identical": True,
-                    "steady_error_free": True,
-                    "overload_accounted": True,
-                    "overload_shed_engaged": True,
-                },
-            }
-
-        assert apply_regression_gate(record(), None)["gate"]["passed"]
-        # Same workload, 4x slower: a real regression, gate fails.
-        slow = apply_regression_gate(record(p99=0.05, rate=200.0), record())
-        assert not slow["gate"]["no_regression"]
-        assert not slow["gate"]["passed"]
-        # Different workload: queue-wait scales with backlog, so the
-        # comparison is skipped rather than misread as a regression.
-        other = apply_regression_gate(
-            record(p99=0.05, rate=200.0), record(n_requests=100)
-        )
-        assert other["gate"]["no_regression"]
-        assert other["gate"]["passed"]
 
     def test_stats_surface_all_layers(self, frozen_classifier, request_matrix):
         with InferenceService(frozen_classifier) as service:

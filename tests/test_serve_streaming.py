@@ -195,6 +195,38 @@ class TestSessions:
             svc.submit_chunk(session_id, np.zeros(4))
 
 
+class TestCalibratedOperatingPoint:
+    """The service at margin 2.5 / min fraction 0.7 on a planted split.
+
+    The same operating point ``tests/test_streaming_property.py`` holds
+    for :class:`repro.streaming.EarlyClassifier`; here it runs through
+    the session table, its config defaults, and ``stream_series``.
+    """
+
+    def test_emits_early_and_every_label_equals_batch(self):
+        from repro.core.config import IPSConfig
+        from repro.core.pipeline import IPSClassifier
+        from repro.datasets.generators import make_planted_dataset
+
+        train = make_planted_dataset(2, 16, 120, seed=1, name="calibrated")
+        test = make_planted_dataset(2, 30, 120, seed=101, name="calibrated")
+        classifier = IPSClassifier(
+            IPSConfig(k=3, q_n=6, q_s=3, seed=1)
+        ).fit_dataset(train)
+        batch = classifier.predict(test.X)
+        config = StreamConfig(margin_threshold=2.5, min_fraction=0.7)
+        with StreamingInferenceService(
+            classifier, stream_config=config
+        ) as svc:
+            decisions = [svc.stream_series(row, chunk_size=16) for row in test.X]
+            stats = svc.stats()["streaming"]
+        early = [d for d in decisions if d.early]
+        assert len(early) >= 1
+        assert all(d.t_emitted < test.series_length for d in early)
+        assert stats["early_emits"] == len(early)
+        np.testing.assert_array_equal([d.label for d in decisions], batch)
+
+
 class TestBatchSurface:
     """The Predictor protocol over the service, sessions or not."""
 

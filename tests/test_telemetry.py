@@ -1,12 +1,11 @@
 """Runtime-telemetry suite: windowed histograms, Prometheus exposition,
 the SLO tracker, typed health, the exposition server, and the CLI faces
-(``repro obs top`` / ``repro obs bench-diff``).
+(``repro obs top``).
 
 The integration tests exercise the acceptance path end to end: a live
 ``/metrics`` + ``/healthz`` fetch against an instrumented
-:class:`InferenceService` while it is serving, bit-identity of the
-instrumented-vs-bare predictions, and a synthetically injected
-regression driving ``bench-diff`` to a non-zero exit.
+:class:`InferenceService` while it is serving, and bit-identity of the
+instrumented-vs-bare predictions.
 """
 
 from __future__ import annotations
@@ -533,165 +532,3 @@ class TestObsTopCLI:
         url = server.url
         server.close()
         assert main(["obs", "top", "--url", url]) == 1
-
-
-class TestBenchDiffCLI:
-    @staticmethod
-    def _write_history(path, entries):
-        with path.open("w", encoding="utf-8") as fh:
-            for entry in entries:
-                fh.write(json.dumps(entry) + "\n")
-
-    @staticmethod
-    def _entry(p99, throughput, ts):
-        return {
-            "kind": "serve",
-            "machine": "m1",
-            "git_sha": "deadbeef",
-            "timestamp": ts,
-            "metrics": {
-                "steady.p99_latency_s": p99,
-                "steady.series_per_second": throughput,
-            },
-        }
-
-    def test_injected_regression_exits_nonzero(self, tmp_path, capsys):
-        from repro.cli import main
-
-        history = tmp_path / "BENCH_history.jsonl"
-        # p99 doubled between runs: a latency regression.
-        self._write_history(
-            history, [self._entry(0.01, 100.0, 1.0), self._entry(0.02, 100.0, 2.0)]
-        )
-        code = main(
-            [
-                "obs", "bench-diff",
-                "--history", str(history),
-                "--machine", "m1",
-                "--bench-dir", str(tmp_path),
-                "--threshold", "0.25",
-            ]
-        )
-        assert code == 1
-        out = capsys.readouterr().out
-        assert "REGRESSION" in out
-        assert "steady.p99_latency_s" in out
-
-    def test_clean_history_exits_zero(self, tmp_path, capsys):
-        from repro.cli import main
-
-        history = tmp_path / "BENCH_history.jsonl"
-        self._write_history(
-            history, [self._entry(0.01, 100.0, 1.0), self._entry(0.011, 99.0, 2.0)]
-        )
-        code = main(
-            [
-                "obs", "bench-diff",
-                "--history", str(history),
-                "--machine", "m1",
-                "--bench-dir", str(tmp_path),
-            ]
-        )
-        assert code == 0
-        assert "no regressions" in capsys.readouterr().out
-
-    def test_throughput_drop_is_a_regression(self, tmp_path, capsys):
-        from repro.cli import main
-
-        history = tmp_path / "BENCH_history.jsonl"
-        # Higher-is-better metric halves; latency flat.
-        self._write_history(
-            history, [self._entry(0.01, 100.0, 1.0), self._entry(0.01, 40.0, 2.0)]
-        )
-        code = main(
-            [
-                "obs", "bench-diff",
-                "--history", str(history),
-                "--machine", "m1",
-                "--bench-dir", str(tmp_path),
-            ]
-        )
-        assert code == 1
-        assert "steady.series_per_second" in capsys.readouterr().out
-
-    def test_invalid_threshold_exits_two(self, tmp_path, capsys):
-        from repro.cli import main
-
-        history = tmp_path / "BENCH_history.jsonl"
-        self._write_history(history, [self._entry(0.01, 100.0, 1.0)])
-        code = main(
-            [
-                "obs", "bench-diff",
-                "--history", str(history),
-                "--machine", "m1",
-                "--threshold", "-1",
-            ]
-        )
-        assert code == 2
-
-    def test_bench_file_fallback_baseline(self, tmp_path, capsys):
-        from repro.cli import main
-
-        history = tmp_path / "BENCH_history.jsonl"
-        self._write_history(history, [self._entry(0.03, 100.0, 2.0)])
-        bench = tmp_path / "BENCH_serve.json"
-        bench.write_text(
-            json.dumps(
-                {
-                    "m1": {
-                        "steady": {
-                            "p99_latency_s": 0.01,
-                            "series_per_second": 100.0,
-                        }
-                    }
-                }
-            ),
-            encoding="utf-8",
-        )
-        code = main(
-            [
-                "obs", "bench-diff",
-                "--history", str(history),
-                "--machine", "m1",
-                "--bench-dir", str(tmp_path),
-            ]
-        )
-        assert code == 1  # 3x the committed p99 baseline
-        assert "bench-diff" in capsys.readouterr().out
-
-
-class TestHistoryLedger:
-    def test_append_and_load_round_trip(self, tmp_path):
-        from repro.benchlib.history import append_history, load_history
-
-        path = tmp_path / "BENCH_history.jsonl"
-        record = {"steady": {"p99_latency_s": 0.02, "series_per_second": 50.0}}
-        entry = append_history("serve", "m1", record, path, timestamp=123.0)
-        assert entry["metrics"]["steady.p99_latency_s"] == 0.02
-        assert entry["timestamp"] == 123.0
-        assert entry["git_sha"]
-        loaded = load_history(path)
-        assert loaded == [entry]
-
-    def test_load_skips_malformed_lines(self, tmp_path):
-        from repro.benchlib.history import append_history, load_history
-
-        path = tmp_path / "BENCH_history.jsonl"
-        append_history("serve", "m1", {"steady": {"p99_latency_s": 0.02}}, path)
-        with path.open("a", encoding="utf-8") as fh:
-            fh.write('{"kind": "serve", "machi\n')  # interrupted append
-        assert len(load_history(path)) == 1
-
-    def test_unknown_kind_rejected(self, tmp_path):
-        from repro.benchlib.history import headline_metrics
-
-        with pytest.raises(ValidationError):
-            headline_metrics("nope", {})
-
-    def test_direction_heuristic(self):
-        from repro.benchlib.history import lower_is_better
-
-        assert lower_is_better("steady.p99_latency_s")
-        assert lower_is_better("obs.overhead.counters")
-        assert not lower_is_better("steady.series_per_second")
-        assert not lower_is_better("spectra.cross_run_hit_rate")
