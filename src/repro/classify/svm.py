@@ -83,31 +83,52 @@ class LinearSVM(ParamsMixin):
             bias_value = max(1.0, float(np.mean(np.abs(X))))
             X = np.hstack([X, np.full((X.shape[0], 1), bias_value)])
         n, d = X.shape
-        diag = np.einsum("ij,ij->i", X, X)
-        alpha = np.zeros(n)
+        # The coordinate loop runs n * max_epochs Python steps, so its
+        # scalars are Python floats in lists (indexing an array yields a
+        # boxed numpy scalar), its clamps are comparisons rather than
+        # min/max calls, and its vector update writes into a preallocated
+        # buffer. The arithmetic is unchanged: one dot product per
+        # margin, and ``(delta * y_i) * x_i`` added into w.
+        rows = list(X)
+        diag = np.einsum("ij,ij->i", X, X).tolist()
+        labels_pm = y.tolist()
+        alpha = [0.0] * n
+        C = self.C
         w = np.zeros(d)
+        step = np.empty(d)
         indices = np.arange(n)
         for _ in range(self.max_epochs):
             rng.shuffle(indices)
             max_violation = 0.0
-            for i in indices:
-                if diag[i] <= 0.0:
+            for i in indices.tolist():
+                diag_i = diag[i]
+                if diag_i <= 0.0:
                     continue
-                gradient = y[i] * (X[i] @ w) - 1.0
+                x_i = rows[i]
+                y_i = labels_pm[i]
+                alpha_i = alpha[i]
+                gradient = y_i * float(x_i.dot(w)) - 1.0
                 # Projected gradient respecting the box [0, C].
-                if alpha[i] <= 0.0:
-                    projected = min(gradient, 0.0)
-                elif alpha[i] >= self.C:
-                    projected = max(gradient, 0.0)
+                if alpha_i <= 0.0:
+                    projected = 0.0 if gradient > 0.0 else gradient
+                elif alpha_i >= C:
+                    projected = 0.0 if gradient < 0.0 else gradient
                 else:
                     projected = gradient
                 if projected == 0.0:
                     continue
-                max_violation = max(max_violation, abs(projected))
-                new_alpha = min(max(alpha[i] - gradient / diag[i], 0.0), self.C)
-                delta = new_alpha - alpha[i]
+                violation = abs(projected)
+                if violation > max_violation:
+                    max_violation = violation
+                new_alpha = alpha_i - gradient / diag_i
+                if new_alpha < 0.0:
+                    new_alpha = 0.0
+                elif new_alpha > C:
+                    new_alpha = C
+                delta = new_alpha - alpha_i
                 if delta != 0.0:
-                    w += delta * y[i] * X[i]
+                    np.multiply(x_i, delta * y_i, out=step)
+                    np.add(w, step, out=w)
                     alpha[i] = new_alpha
             if max_violation < self.tol:
                 break

@@ -210,11 +210,7 @@ def _normalized_ranks(dabf: DABF, label: int, items: list[Candidate]) -> np.ndar
     for length, idxs in by_length.items():
         rows = np.vstack([items[i].values for i in idxs])
         raw = cdabf.bucket_ranks_batch(rows).astype(np.float64)
-        table_lengths = np.asarray(cdabf.lengths)
-        nearest = int(table_lengths[np.argmin(np.abs(table_lengths - length))])
-        n_buckets = cdabf._tables[nearest].table.n_buckets  # noqa: SLF001
-        denom = max(float(n_buckets - 1), 1.0)
-        ranks[idxs] = raw / denom
+        ranks[idxs] = raw / cdabf.rank_denominator(length)
     return np.clip(ranks, 0.0, 1.0)
 
 
@@ -224,16 +220,16 @@ def _instance_window_ranks(
     """Sorted normalized window ranks per (length, instance) for class C.
 
     Hashing every sliding window once and reusing it for every candidate is
-    the CR idea applied to the intra-instance utility.
+    the CR idea applied to the intra-instance utility. Each instance's
+    windows are one table query of their own: stacking several instances
+    into one query changes the ranks, because BLAS rounds the projection
+    product differently as the row count grows.
     """
     instances = dataset.series_of_class(label)
     cdabf = dabf.per_class[label]
     out: dict[int, list[np.ndarray]] = {}
     for length in lengths:
-        table_lengths = np.asarray(cdabf.lengths)
-        nearest = int(table_lengths[np.argmin(np.abs(table_lengths - length))])
-        n_buckets = cdabf._tables[nearest].table.n_buckets  # noqa: SLF001
-        denom = max(float(n_buckets - 1), 1.0)
+        denom = cdabf.rank_denominator(length)
         per_instance: list[np.ndarray] = []
         for row in instances:
             if length > row.size:
@@ -246,17 +242,15 @@ def _instance_window_ranks(
     return out
 
 
-def _min_gap(sorted_values: np.ndarray, x: float) -> float:
-    """Minimum |x - v| over a sorted array (binary search)."""
-    if sorted_values.size == 0:
-        return 0.0
-    pos = int(np.searchsorted(sorted_values, x))
-    best = np.inf
-    if pos < sorted_values.size:
-        best = min(best, abs(sorted_values[pos] - x))
-    if pos > 0:
-        best = min(best, abs(sorted_values[pos - 1] - x))
-    return float(best)
+def _nearest_gaps(sorted_values: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Minimum ``|x_j - v|`` over a non-empty sorted array, for every ``x_j``."""
+    pos = np.searchsorted(sorted_values, x)
+    last = sorted_values.size - 1
+    above = np.abs(sorted_values[np.minimum(pos, last)] - x)
+    below = np.abs(sorted_values[np.maximum(pos - 1, 0)] - x)
+    above[pos > last] = np.inf
+    below[pos == 0] = np.inf
+    return np.minimum(above, below)
 
 
 def score_candidates_dt(
@@ -290,15 +284,23 @@ def score_candidates_dt(
     else:
         inter_sums = np.zeros(n)
 
-    lengths = sorted({cand.length for cand in motifs})
-    window_ranks = _instance_window_ranks(dataset, dabf, label, lengths)
+    motif_lengths = np.array([cand.length for cand in motifs])
+    window_ranks = _instance_window_ranks(
+        dataset, dabf, label, np.unique(motif_lengths).tolist()
+    )
     n_instances = dataset.class_indices(label).size
     instance_sums = np.zeros(n)
-    for i, candidate in enumerate(motifs):
-        per_instance = window_ranks[candidate.length]
-        instance_sums[i] = sum(
-            _min_gap(sorted_ranks, motif_ranks[i]) for sorted_ranks in per_instance
-        )
+    for length, per_instance in window_ranks.items():
+        idxs = np.flatnonzero(motif_lengths == length)
+        ranks = motif_ranks[idxs]
+        # Instance by instance from 0.0: the same left-to-right sums as
+        # a per-candidate loop. An instance shorter than the length has
+        # no windows and adds nothing.
+        sums = np.zeros(idxs.size)
+        for sorted_ranks in per_instance:
+            if sorted_ranks.size:
+                sums += _nearest_gaps(sorted_ranks, ranks)
+        instance_sums[idxs] = sums
 
     return UtilityScores(
         candidates=motifs,

@@ -124,12 +124,26 @@ class ClassDABF:
         if not self._tables:
             raise ValidationError(f"class {self.label} DABF is empty")
         values = self._prepare(values)
-        length = values.size
-        if length in self._tables:
-            return self._tables[length], values
-        available = np.asarray(self.lengths)
-        nearest = int(available[np.argmin(np.abs(available - length))])
+        nearest = self._nearest_length(values.size)
+        if nearest == values.size:
+            return self._tables[nearest], values
         return self._tables[nearest], linear_interpolate_resample(values, nearest)
+
+    def _nearest_length(self, length: int) -> int:
+        """Length of the table a query of ``length`` routes to."""
+        if length in self._tables:
+            return length
+        available = np.asarray(self.lengths)
+        return int(available[np.argmin(np.abs(available - length))])
+
+    def rank_denominator(self, length: int) -> float:
+        """Divisor that maps the bucket ranks of ``length`` queries into [0, 1].
+
+        The ranks come from the table the length routes to, so this is
+        that table's ``n_buckets - 1`` (at least 1).
+        """
+        table = self._tables[self._nearest_length(length)].table
+        return max(float(table.n_buckets - 1), 1.0)
 
     def query_zscore(self, values: np.ndarray) -> float:
         """Z-normalized ``dist(LSH_C(query), 0)`` (Algorithm 3, line 4)."""
@@ -163,11 +177,9 @@ class ClassDABF:
             raise ValidationError("bucket_ranks_batch expects a 2-D matrix")
         if self.znorm_inputs:
             rows = znormalize(rows, axis=1)
-        length = rows.shape[1]
-        if length in self._tables:
-            return self._tables[length].table.bucket_ranks_batch(rows)
-        available = np.asarray(self.lengths)
-        nearest = int(available[np.argmin(np.abs(available - length))])
+        nearest = self._nearest_length(rows.shape[1])
+        if nearest == rows.shape[1]:
+            return self._tables[nearest].table.bucket_ranks_batch(rows)
         resampled = np.vstack(
             [linear_interpolate_resample(row, nearest) for row in rows]
         )

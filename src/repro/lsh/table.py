@@ -67,6 +67,7 @@ class LSHTable:
         self._n_items = 0
         self._item_norms: list[float] = []
         self._ranked_cache: list[Bucket] | None = None
+        self._rank_index_cache: tuple[dict[tuple, int], np.ndarray] | None = None
 
     def add(self, x: np.ndarray, item_id: int | None = None) -> int:
         """Hash ``x`` into its bucket; returns the item id used."""
@@ -82,6 +83,7 @@ class LSHTable:
         self._item_norms.append(float(np.linalg.norm(projection)))
         self._n_items += 1
         self._ranked_cache = None
+        self._rank_index_cache = None
         return int(item_id)
 
     @property
@@ -107,11 +109,17 @@ class LSHTable:
         return self._ranked_cache
 
     def _rank_index(self) -> tuple[dict[tuple, int], np.ndarray]:
-        """(signature -> rank) map plus the sorted center norms."""
-        ranked = self.ranked_buckets()
-        key_rank = {bucket.key: rank for rank, bucket in enumerate(ranked)}
-        norms = np.asarray([bucket.center_norm for bucket in ranked])
-        return key_rank, norms
+        """(signature -> rank) map plus the sorted center norms.
+
+        Cached until the next :meth:`add`, like :meth:`ranked_buckets`:
+        the DT scoring queries each table once per training instance.
+        """
+        if self._rank_index_cache is None:
+            ranked = self.ranked_buckets()
+            key_rank = {bucket.key: rank for rank, bucket in enumerate(ranked)}
+            norms = np.asarray([bucket.center_norm for bucket in ranked])
+            self._rank_index_cache = (key_rank, norms)
+        return self._rank_index_cache
 
     def bucket_rank_of(self, x: np.ndarray) -> int:
         """Rank index a query would occupy among the ranked buckets.

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.classify.svm import LinearSVM, OneVsRestSVM
 from repro.exceptions import NotFittedError, ValidationError
@@ -92,3 +94,91 @@ class TestOneVsRestSVM:
     def test_unfitted_rejected(self, rng):
         with pytest.raises(NotFittedError):
             OneVsRestSVM().predict(rng.normal(size=(2, 3)))
+
+
+def _reference_fit(X, y, C, max_epochs, tol, fit_bias, rng):
+    """The coordinate loop stated plainly, on numpy arrays and scalars.
+
+    Kept verbatim as the oracle: ``LinearSVM.fit`` restates it on Python
+    floats and a preallocated update buffer, and must fit the same bits.
+    """
+    bias_value = 1.0
+    if fit_bias:
+        bias_value = max(1.0, float(np.mean(np.abs(X))))
+        X = np.hstack([X, np.full((X.shape[0], 1), bias_value)])
+    n, d = X.shape
+    diag = np.einsum("ij,ij->i", X, X)
+    alpha = np.zeros(n)
+    w = np.zeros(d)
+    indices = np.arange(n)
+    for _ in range(max_epochs):
+        rng.shuffle(indices)
+        max_violation = 0.0
+        for i in indices:
+            if diag[i] <= 0.0:
+                continue
+            gradient = y[i] * (X[i] @ w) - 1.0
+            # Projected gradient respecting the box [0, C].
+            if alpha[i] <= 0.0:
+                projected = min(gradient, 0.0)
+            elif alpha[i] >= C:
+                projected = max(gradient, 0.0)
+            else:
+                projected = gradient
+            if projected == 0.0:
+                continue
+            max_violation = max(max_violation, abs(projected))
+            new_alpha = min(max(alpha[i] - gradient / diag[i], 0.0), C)
+            delta = new_alpha - alpha[i]
+            if delta != 0.0:
+                w += delta * y[i] * X[i]
+                alpha[i] = new_alpha
+        if max_violation < tol:
+            break
+    if fit_bias:
+        return w[:-1].copy(), float(w[-1] * bias_value)
+    return w.copy(), 0.0
+
+
+class TestBitIdenticalToReferenceLoop:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 40),
+        d=st.integers(1, 6),
+        C=st.sampled_from([0.01, 1.0, 10.0]),
+        fit_bias=st.booleans(),
+        n_zero_rows=st.integers(0, 3),
+        max_epochs=st.sampled_from([1, 7, 60]),
+    )
+    def test_linear_svm_matches_reference(
+        self, seed, n, d, C, fit_bias, n_zero_rows, max_epochs
+    ):
+        rng = np.random.default_rng(seed)
+        X = rng.normal(size=(n, d)) * rng.uniform(0.1, 5.0)
+        y = np.where(rng.random(n) < 0.5, -1.0, 1.0)
+        X[y > 0] += rng.uniform(0.0, 2.0)
+        # All-zero rows have diag == 0 without the bias column: skipped.
+        X[: min(n_zero_rows, n)] = 0.0
+        model = LinearSVM(
+            C=C, max_epochs=max_epochs, fit_bias=fit_bias, seed=seed
+        ).fit(X, y)
+        coef, intercept = _reference_fit(
+            X, y, C, max_epochs, 1e-4, fit_bias, np.random.default_rng(seed)
+        )
+        assert np.array_equal(model.coef_, coef)
+        assert np.array_equal(np.float64(model.intercept_), np.float64(intercept))
+
+    def test_one_vs_rest_shares_generator_across_classes(self, rng):
+        centers = rng.normal(size=(8, 5)) * 3.0
+        X = np.vstack([rng.normal(size=(20, 5)) + c for c in centers])
+        y = np.repeat(np.arange(8), 20)
+        model = OneVsRestSVM(C=1.0, seed=11).fit(X, y)
+        shared = np.random.default_rng(11)
+        assert len(model._models) == 8
+        for cls, fitted in zip(range(8), model._models):
+            coef, intercept = _reference_fit(
+                X, np.where(y == cls, 1.0, -1.0), 1.0, 200, 1e-4, True, shared
+            )
+            assert np.array_equal(fitted.coef_, coef)
+            assert np.array_equal(np.float64(fitted.intercept_), np.float64(intercept))

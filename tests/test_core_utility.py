@@ -8,6 +8,7 @@ import pytest
 from repro.core.utility import (
     UtilityScores,
     _PairDistanceCache,
+    _finalize,
     score_candidates_brute,
     score_candidates_dt,
     sigmoid_utility,
@@ -16,6 +17,7 @@ from repro.datasets.generators import make_planted_dataset
 from repro.exceptions import ValidationError
 from repro.filters.dabf import DABF
 from repro.instanceprofile.candidates import generate_candidates
+from repro.lsh import LSHTable
 from repro.types import Candidate, CandidateKind
 
 
@@ -160,6 +162,136 @@ class TestDT:
         dataset, pool, dabf = scored_setup
         scores = score_candidates_dt(dataset, pool, 99, dabf)
         assert len(scores.candidates) == 0
+
+
+def _reference_rank_index(self):
+    """``LSHTable._rank_index`` without its cache: rebuilt on every query."""
+    ranked = self.ranked_buckets()
+    key_rank = {bucket.key: rank for rank, bucket in enumerate(ranked)}
+    norms = np.asarray([bucket.center_norm for bucket in ranked])
+    return key_rank, norms
+
+
+def _reference_normalized_ranks(dabf, label, items):
+    cdabf = dabf.per_class[label]
+    ranks = np.empty(len(items))
+    by_length: dict[int, list[int]] = {}
+    for idx, cand in enumerate(items):
+        by_length.setdefault(cand.length, []).append(idx)
+    for length, idxs in by_length.items():
+        rows = np.vstack([items[i].values for i in idxs])
+        raw = cdabf.bucket_ranks_batch(rows).astype(np.float64)
+        table_lengths = np.asarray(cdabf.lengths)
+        nearest = int(table_lengths[np.argmin(np.abs(table_lengths - length))])
+        n_buckets = cdabf._tables[nearest].table.n_buckets  # noqa: SLF001
+        denom = max(float(n_buckets - 1), 1.0)
+        ranks[idxs] = raw / denom
+    return np.clip(ranks, 0.0, 1.0)
+
+
+def _reference_instance_window_ranks(dataset, dabf, label, lengths):
+    instances = dataset.series_of_class(label)
+    cdabf = dabf.per_class[label]
+    out: dict[int, list[np.ndarray]] = {}
+    for length in lengths:
+        table_lengths = np.asarray(cdabf.lengths)
+        nearest = int(table_lengths[np.argmin(np.abs(table_lengths - length))])
+        n_buckets = cdabf._tables[nearest].table.n_buckets  # noqa: SLF001
+        denom = max(float(n_buckets - 1), 1.0)
+        per_instance: list[np.ndarray] = []
+        for row in instances:
+            if length > row.size:
+                per_instance.append(np.empty(0))
+                continue
+            windows = np.lib.stride_tricks.sliding_window_view(row, length)
+            raw = cdabf.bucket_ranks_batch(np.ascontiguousarray(windows))
+            per_instance.append(np.sort(np.clip(raw / denom, 0.0, 1.0)))
+        out[length] = per_instance
+    return out
+
+
+def _reference_min_gap(sorted_values, x):
+    if sorted_values.size == 0:
+        return 0.0
+    pos = int(np.searchsorted(sorted_values, x))
+    best = np.inf
+    if pos < sorted_values.size:
+        best = min(best, abs(sorted_values[pos] - x))
+    if pos > 0:
+        best = min(best, abs(sorted_values[pos - 1] - x))
+    return float(best)
+
+
+def _reference_score_dt(dataset, pool, label, dabf, normalize):
+    """DT + CR scoring one candidate and one instance at a time: the oracle."""
+    motifs = pool.motifs(label)
+    others = pool.other_classes(label)
+    n = len(motifs)
+    motif_ranks = _reference_normalized_ranks(dabf, label, motifs)
+    gap_matrix = np.abs(motif_ranks[:, None] - motif_ranks[None, :])
+    intra_sums = gap_matrix.sum(axis=1)
+    if others:
+        other_ranks = _reference_normalized_ranks(dabf, label, others)
+        inter_sums = np.abs(motif_ranks[:, None] - other_ranks[None, :]).sum(axis=1)
+    else:
+        inter_sums = np.zeros(n)
+    lengths = sorted({cand.length for cand in motifs})
+    window_ranks = _reference_instance_window_ranks(dataset, dabf, label, lengths)
+    n_instances = dataset.class_indices(label).size
+    instance_sums = np.zeros(n)
+    for i, candidate in enumerate(motifs):
+        # Left to right from 0, as sum() of floats adds before Python
+        # 3.12 (which made it compensated).
+        total = 0
+        for sorted_ranks in window_ranks[candidate.length]:
+            total += _reference_min_gap(sorted_ranks, motif_ranks[i])
+        instance_sums[i] = total
+    return (
+        _finalize(intra_sums, max(n - 1, 1), normalize),
+        _finalize(inter_sums, max(len(others), 1), normalize),
+        _finalize(instance_sums, max(n_instances, 1), normalize),
+    )
+
+
+def _dt_oracle_case(n_classes, n_instances, length, lengths, odd_length):
+    """A planted set, its DABF, and a scored pool with two odd motifs per class.
+
+    One motif has ``odd_length``, a length without a table of its own (it
+    routes to the nearest table by resampling); one is longer than every
+    series, so each instance contributes an empty rank array.
+    """
+    dataset = make_planted_dataset(
+        n_classes=n_classes, n_instances=n_instances, length=length, seed=3
+    )
+    pool = generate_candidates(dataset, q_n=4, q_s=3, lengths=lengths, seed=0)
+    dabf = DABF.build(pool, seed=0)
+    scored = pool.copy()
+    for label in range(n_classes):
+        row = dataset.series_of_class(label)[0]
+        for values in (row[:odd_length], np.concatenate([row, row[:5]])):
+            scored.add(Candidate(values=values, label=label, kind=CandidateKind.MOTIF))
+    return dataset, scored, dabf
+
+
+class TestDTMatchesReference:
+    @pytest.mark.parametrize(
+        "case",
+        [
+            pytest.param((8, 120, 56, [8, 14], 11), id="short-8-class"),
+            pytest.param((2, 40, 192, [20, 48], 30), id="long-2-class"),
+        ],
+    )
+    @pytest.mark.parametrize("normalize", [True, False])
+    def test_scores_bit_identical(self, case, normalize, monkeypatch):
+        dataset, pool, dabf = _dt_oracle_case(*case)
+        for label in range(dataset.n_classes):
+            with monkeypatch.context() as patched:
+                patched.setattr(LSHTable, "_rank_index", _reference_rank_index)
+                expected = _reference_score_dt(dataset, pool, label, dabf, normalize)
+            scores = score_candidates_dt(dataset, pool, label, dabf, normalize)
+            assert len(scores.candidates) == len(pool.motifs(label))
+            for got, want in zip((scores.intra, scores.inter, scores.instance), expected):
+                assert np.array_equal(got, want)
 
 
 class TestPairDistanceCache:

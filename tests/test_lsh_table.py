@@ -93,3 +93,24 @@ class TestLSHTable:
 
         with pytest.raises(ValidationError):
             _ = Bucket(key=(0,)).center
+
+
+class TestRankIndexCache:
+    def test_interleaved_adds_rank_like_a_fresh_table(self, rng):
+        """Queries between adds see every item added so far."""
+        family = make_lsh("l2", dim=8, seed=3, width=0.5)
+        items = rng.normal(size=(25, 8)) * rng.uniform(0.1, 4.0, size=(25, 1))
+        queries = rng.normal(size=(6, 8)) * 2.0
+        table = LSHTable(family)
+        for k, row in enumerate(items):
+            table.add(row)
+            fresh = LSHTable(family)
+            for earlier in items[: k + 1]:
+                fresh.add(earlier)
+            probes = np.vstack([queries, items[: k + 1]])
+            assert np.array_equal(
+                table.bucket_ranks_batch(probes), fresh.bucket_ranks_batch(probes)
+            )
+            assert [table.bucket_rank_of(p) for p in probes] == [
+                fresh.bucket_rank_of(p) for p in probes
+            ]
