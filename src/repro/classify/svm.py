@@ -8,6 +8,10 @@ L2-regularized L1-loss (hinge) SVM
 by coordinate-wise updates of the box-constrained dual variables
 ``alpha_i in [0, C]``, maintaining ``w = sum_i alpha_i y_i x_i``. A bias
 term is handled by augmenting each sample with a constant feature.
+:meth:`LinearSVM.fit` follows liblinear's ``solve_l2r_l1l2_svc``,
+including its shrinking of coordinates stuck at a bound and its
+stopping rule: stop when the spread of the projected gradient,
+PGmax - PGmin, is at most ``tol`` over all coordinates.
 
 Multi-class problems use one-vs-rest with decision-value argmax
 (:class:`OneVsRestSVM`), which is what the paper's final classification
@@ -30,21 +34,28 @@ class LinearSVM(ParamsMixin):
     C:
         Soft-margin penalty.
     max_epochs:
-        Maximum passes over the data.
+        Maximum passes over the active coordinates (liblinear's 1000).
     tol:
-        Stop when the largest projected-gradient violation in an epoch
-        falls below this.
+        Stop when PGmax - PGmin, the spread of the projected gradient
+        over all dual coordinates in one epoch, is at most this
+        (liblinear's ``-e``, 0.1 by default).
     fit_bias:
         Learn an intercept via feature augmentation.
     seed:
         Seed for the per-epoch coordinate permutation.
+
+    Attributes
+    ----------
+    n_iter_:
+        Epochs the last ``fit`` ran; below ``max_epochs`` when it stopped
+        on the ``tol`` rule.
     """
 
     def __init__(
         self,
         C: float = 1.0,
-        max_epochs: int = 200,
-        tol: float = 1e-4,
+        max_epochs: int = 1000,
+        tol: float = 0.1,
         fit_bias: bool = True,
         seed: int | np.random.Generator | None = 0,
     ) -> None:
@@ -57,6 +68,7 @@ class LinearSVM(ParamsMixin):
         self.seed = seed
         self.coef_: np.ndarray | None = None
         self.intercept_: float = 0.0
+        self.n_iter_: int = 0
 
     def fit(self, X: np.ndarray, y: np.ndarray) -> "LinearSVM":
         """Train on ``(M, d)`` features with labels in {-1, +1}."""
@@ -83,55 +95,90 @@ class LinearSVM(ParamsMixin):
             bias_value = max(1.0, float(np.mean(np.abs(X))))
             X = np.hstack([X, np.full((X.shape[0], 1), bias_value)])
         n, d = X.shape
-        # The coordinate loop runs n * max_epochs Python steps, so its
-        # scalars are Python floats in lists (indexing an array yields a
-        # boxed numpy scalar), its clamps are comparisons rather than
-        # min/max calls, and its vector update writes into a preallocated
-        # buffer. The arithmetic is unchanged: one dot product per
-        # margin, and ``(delta * y_i) * x_i`` added into w.
+        # liblinear's solve_l2r_l1l2_svc for the L1-loss dual. Each epoch
+        # visits the active set ``index[:active]`` in a fresh random
+        # order. A coordinate at a bound whose gradient points out of the
+        # box by more than last epoch's extreme projected gradient is
+        # shrunk: swapped behind the active set and not visited again.
+        # When the projected-gradient gap PGmax - PGmin reaches ``tol`` on
+        # a shrunk set, the full set is restored and checked once more;
+        # the fit stops only when the gap holds on every coordinate.
+        # Rows with ``diag <= 0`` (all-zero rows without a bias column)
+        # have no step and are skipped.
+        #
+        # The loop runs one Python step per active coordinate and epoch,
+        # so its scalars are Python floats in lists (indexing an array
+        # yields a boxed numpy scalar), its clamps are comparisons rather
+        # than min/max calls, and its vector update writes into a
+        # preallocated buffer.
         rows = list(X)
         diag = np.einsum("ij,ij->i", X, X).tolist()
         labels_pm = y.tolist()
         alpha = [0.0] * n
         C = self.C
+        inf = float("inf")
+        pg_max_old, pg_min_old = inf, -inf
         w = np.zeros(d)
         step = np.empty(d)
-        indices = np.arange(n)
-        for _ in range(self.max_epochs):
-            rng.shuffle(indices)
-            max_violation = 0.0
-            for i in indices.tolist():
+        index = np.arange(n)
+        active = n
+        n_iter = 0
+        while n_iter < self.max_epochs:
+            rng.shuffle(index[:active])
+            order = index.tolist()
+            pg_max, pg_min = -inf, inf
+            s = 0
+            while s < active:
+                i = order[s]
                 diag_i = diag[i]
                 if diag_i <= 0.0:
+                    s += 1
                     continue
                 x_i = rows[i]
                 y_i = labels_pm[i]
                 alpha_i = alpha[i]
                 gradient = y_i * float(x_i.dot(w)) - 1.0
                 # Projected gradient respecting the box [0, C].
-                if alpha_i <= 0.0:
-                    projected = 0.0 if gradient > 0.0 else gradient
-                elif alpha_i >= C:
-                    projected = 0.0 if gradient < 0.0 else gradient
-                else:
-                    projected = gradient
-                if projected == 0.0:
-                    continue
-                violation = abs(projected)
-                if violation > max_violation:
-                    max_violation = violation
-                new_alpha = alpha_i - gradient / diag_i
-                if new_alpha < 0.0:
-                    new_alpha = 0.0
-                elif new_alpha > C:
-                    new_alpha = C
-                delta = new_alpha - alpha_i
-                if delta != 0.0:
-                    np.multiply(x_i, delta * y_i, out=step)
+                projected = gradient
+                if alpha_i == 0.0:
+                    if gradient > pg_max_old:
+                        active -= 1
+                        order[s], order[active] = order[active], i
+                        continue
+                    if gradient > 0.0:
+                        projected = 0.0
+                elif alpha_i == C:
+                    if gradient < pg_min_old:
+                        active -= 1
+                        order[s], order[active] = order[active], i
+                        continue
+                    if gradient < 0.0:
+                        projected = 0.0
+                if projected > pg_max:
+                    pg_max = projected
+                if projected < pg_min:
+                    pg_min = projected
+                if abs(projected) > 1e-12:
+                    new_alpha = alpha_i - gradient / diag_i
+                    if new_alpha < 0.0:
+                        new_alpha = 0.0
+                    elif new_alpha > C:
+                        new_alpha = C
+                    np.multiply(x_i, (new_alpha - alpha_i) * y_i, out=step)
                     np.add(w, step, out=w)
                     alpha[i] = new_alpha
-            if max_violation < self.tol:
-                break
+                s += 1
+            index[:] = order
+            n_iter += 1
+            if pg_max - pg_min <= self.tol:
+                if active == n:
+                    break
+                active = n
+                pg_max_old, pg_min_old = inf, -inf
+                continue
+            pg_max_old = pg_max if pg_max > 0.0 else inf
+            pg_min_old = pg_min if pg_min < 0.0 else -inf
+        self.n_iter_ = n_iter
         if self.fit_bias:
             self.coef_ = w[:-1].copy()
             self.intercept_ = float(w[-1] * bias_value)
@@ -177,8 +224,8 @@ class OneVsRestSVM(PredictorMixin, ParamsMixin):
     def __init__(
         self,
         C: float = 1.0,
-        max_epochs: int = 200,
-        tol: float = 1e-4,
+        max_epochs: int = 1000,
+        tol: float = 0.1,
         seed: int | np.random.Generator | None = 0,
     ) -> None:
         self.C = C

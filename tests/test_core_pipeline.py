@@ -191,6 +191,16 @@ class TestIPSClassifier:
         assert features.shape == (test.n_series, len(clf.shapelets_))
         assert np.all(features >= 0.0)
 
+    def test_every_svm_stops_on_the_tolerance_rule(self):
+        """Each one-vs-rest SVM over 8-class shapelet features converges
+        (PGmax - PGmin <= tol) before its epoch cap."""
+        data = make_planted_dataset(n_classes=8, n_instances=160, length=56, seed=4)
+        clf = IPSClassifier(IPSConfig(seed=0)).fit_dataset(data)
+        machines = clf._svm._models
+        assert len(machines) == 8
+        for machine in machines:
+            assert 0 < machine.n_iter_ < machine.max_epochs
+
     @pytest.mark.parametrize("final_classifier", ["svm", "nb", "tree", "1nn"])
     def test_scores_do_not_depend_on_batch_size(
         self, planted_split, final_classifier

@@ -216,6 +216,36 @@ class TestPredictorConformance:
         assert np.all(margins >= 0.0)
 
 
+#: (spec, method) for every output a feature-matrix predictor has.
+_ROW_OUTPUTS = [
+    (spec, method)
+    for spec in SPECS
+    if spec.fit_style in ("features", "binary_pm1")
+    for method in ("decision_function", "predict_proba", "predict")
+    if callable(getattr(spec.make(), method, None))
+]
+#: A batch past every small-size special case of the BLAS kernels.
+_BATCH = np.random.default_rng(9).normal(loc=1.0, scale=1.5, size=(300, 5))
+
+
+@pytest.mark.parametrize(
+    ("spec", "method"),
+    _ROW_OUTPUTS,
+    ids=[f"{spec.name}-{method}" for spec, method in _ROW_OUTPUTS],
+)
+def test_row_alone_scores_its_batch_bits(spec, method):
+    """A feature row gets the same output alone as inside a 300-row batch."""
+    model = _fitted(spec)
+    call = getattr(model, method)
+    batch = call(_BATCH)
+    differing = [
+        row
+        for row in range(_BATCH.shape[0])
+        if not np.array_equal(call(_BATCH[row : row + 1])[0], batch[row])
+    ]
+    assert differing == []
+
+
 def test_package_exports_importable():
     """Every name in repro.__all__ must resolve (the curated facade)."""
     import repro

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -28,8 +28,18 @@ def _series(min_size: int, max_size: int):
 
 @settings(max_examples=40, deadline=None)
 @given(_series(2, 40))
+@example(np.full(5, 3.25))
 def test_znormalize_idempotent_on_scale(x):
-    """z-normalization is invariant to affine input transforms."""
+    """z-normalization is invariant to affine input transforms.
+
+    Only where float64 keeps ``3x + 7`` affine to the tolerance: its
+    rounding is about 6e-14 absolute for |x| <= 100, which is a 2e-10
+    error in the normalized values once ``std(x) > 1e-4``. A near-flat
+    slice such as ``[0, 2.794e-11]`` has a std above ``FLAT_STD``, yet
+    ``3x + 7`` keeps only ~5 digits of it. An exactly constant slice
+    maps to zeros both ways.
+    """
+    assume(np.std(x) > 1e-4 or np.all(x == x[0]))
     z1 = znormalize(x)
     z2 = znormalize(3.0 * x + 7.0)
     assert np.allclose(z1, z2, atol=1e-8)

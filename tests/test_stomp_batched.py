@@ -537,5 +537,5 @@ class TestPinnedDigests:
             np.ascontiguousarray(clf.decision_function(test.X), dtype=np.float64).tobytes()
         )
         assert digest.hexdigest() == (
-            "6e3bc55e17bd82e64fc73ff0ee1892057819d8ea9f28c2a96c086e2cd4f635a8"
+            "7fb44d3ba4862ab216e62bee08aa6ea8fd502756c8981ef2684663de61a54e89"
         )
