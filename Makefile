@@ -11,8 +11,9 @@ test:
 	$(PYTHON) -m pytest tests/
 
 # Robustness suite: retry/backoff/quorum/checkpoint + fault injection,
-# data contracts & repairs, degenerate-input corpus, anytime budgets —
-# plus a live deadline-budget smoke through the CLI.
+# distributed-vs-serial discovery differential (every test_distributed*
+# file), data contracts & repairs, degenerate-input corpus, anytime
+# budgets — plus a live deadline-budget smoke through the CLI.
 verify-robustness:
 	PYTHONPATH=src $(PYTHON) -m pytest -q -m robustness tests/
 	PYTHONPATH=src $(PYTHON) -m repro run ItalyPowerDemand --method IPS \

@@ -113,6 +113,32 @@ class IPS:
         # the discovery spans share one trace.
         self._pending_tracer = None
 
+    def _generate(
+        self, dataset: Dataset, lengths, tracker, tracer, counters, gen_span
+    ) -> tuple[CandidatePool, dict]:
+        """Algorithm 1: the candidate pool plus generation-specific extras.
+
+        The one stage a subclass swaps (see
+        :class:`repro.distributed.DistributedIPS`); pruning and selection
+        in :meth:`discover` are shared. Runs inside the ``generation``
+        span (``gen_span``) and counters phase.
+        """
+        config = self.config
+        pool = generate_candidates(
+            dataset,
+            q_n=config.q_n,
+            q_s=config.q_s,
+            lengths=lengths,
+            motifs_per_profile=config.motifs_per_profile,
+            discords_per_profile=config.discords_per_profile,
+            normalized=config.normalized_profiles,
+            seed=config.seed,
+            budget_tracker=tracker,
+            perf_counters=counters,
+            tracer=tracer,
+        )
+        return pool, {}
+
     def discover(self, dataset: Dataset) -> DiscoveryResult:
         """Run candidate generation, pruning, and top-k selection.
 
@@ -168,18 +194,8 @@ class IPS:
             with tracer.span(
                 "generation", q_n=config.q_n, q_s=config.q_s, lengths=lengths
             ) as gen_span, counters.phase("generation"):
-                pool = generate_candidates(
-                    dataset,
-                    q_n=config.q_n,
-                    q_s=config.q_s,
-                    lengths=lengths,
-                    motifs_per_profile=config.motifs_per_profile,
-                    discords_per_profile=config.discords_per_profile,
-                    normalized=config.normalized_profiles,
-                    seed=config.seed,
-                    budget_tracker=tracker,
-                    perf_counters=counters,
-                    tracer=tracer,
+                pool, gen_extra = self._generate(
+                    dataset, lengths, tracker, tracer, counters, gen_span
                 )
                 gen_span.set(n_candidates=len(pool))
                 tracer.count("candidates.generated", len(pool))
@@ -300,6 +316,7 @@ class IPS:
             # There is one float64 kernel path; the key stays for
             # readers that record which path ran.
             "kernel_backend": "reference",
+            **gen_extra,
         }
         if counters.enabled:
             perf = counters.snapshot()
@@ -307,7 +324,7 @@ class IPS:
             global_metrics().accumulate_perf(perf)
             if tracer.active:
                 tracer.metrics.absorb_perf(perf)
-        completed = True
+        completed = not gen_extra.get("interrupted", False)
         if tracker is not None:
             tracker.record_phase(
                 "selection", classes_scored=len(scores_by_class), dt_used=use_dt
@@ -317,7 +334,7 @@ class IPS:
             gen_truncated = tracker.progress.get("generation", {}).get(
                 "truncated", False
             )
-            completed = not (
+            completed = completed and not (
                 gen_truncated
                 or tracker.progress.get("pruning", {}).get("skipped", False)
                 or (config.use_dt_cr and not use_dt)
@@ -457,10 +474,7 @@ class IPSClassifier(ParamsMixin):
             validated = self._validate(dataset, None, tracer=tracer)
             dataset = validated.dataset
             validation_report = validated.report
-        try:
-            self.discoverer_._pending_tracer = tracer
-        except AttributeError:
-            pass  # exotic drop-in discoverers may reject attribute writes
+        self.discoverer_._pending_tracer = tracer
         result = self.discoverer_.discover(dataset)
         result.extra["validation_report"] = validation_report
         self.discovery_result_ = result
@@ -469,12 +483,10 @@ class IPSClassifier(ParamsMixin):
         # Share the discovery run's series cache with the transform, so
         # the training series' FFT spectra and window statistics computed
         # during utility scoring are reused here instead of redone.
-        # getattr: drop-in discoverers (e.g. DistributedIPS) may not
-        # expose the kernel-cache attributes.
-        counters = getattr(self.discoverer_, "perf_counters_", None)
-        counting = counters is not None and getattr(counters, "enabled", True)
-        transform_cache = getattr(self.discoverer_, "kernel_cache_", None)
-        if transform_cache is None and counters is not None:
+        counters = self.discoverer_.perf_counters_
+        counting = counters.enabled
+        transform_cache = self.discoverer_.kernel_cache_
+        if transform_cache is None:
             transform_cache = SeriesCache(counters=counters)
         self._transform = ShapeletTransform(
             result.shapelets, cache=transform_cache

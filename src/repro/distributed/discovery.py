@@ -1,10 +1,11 @@
 """Coordinator for distributed IPS candidate generation.
 
-``DistributedIPS.discover`` produces the same :class:`DiscoveryResult` as
-the serial pipeline, but fans the (class, sample) candidate-generation
-units out to an executor. Determinism: unit seeds come from
-``SeedSequence(master).spawn``, indexed by unit order, so the serial,
-thread, and process executors return identical candidate pools.
+``DistributedIPS`` is :class:`repro.core.pipeline.IPS` with one stage
+swapped: it fans the (class, sample) candidate-generation units out to an
+executor, then prunes and selects through the serial pipeline's code.
+Determinism: unit seeds come from ``SeedSequence(master).spawn``, indexed
+by unit order, so the serial, thread, and process executors return
+identical candidate pools.
 
 With ``IPSConfig.fault_tolerance`` set, discovery survives worker
 failure: units are retried with backoff through
@@ -20,18 +21,10 @@ pool bit-identical to the zero-fault run.
 
 from __future__ import annotations
 
-import time
-
 import numpy as np
 
 from repro.core.config import FaultToleranceConfig, IPSConfig
-from repro.core.pipeline import restore_emptied_classes, score_with_class_fallback
-from repro.core.selection import select_top_k_per_class
-from repro.core.utility import (
-    UtilityScores,
-    score_candidates_brute,
-    score_candidates_dt,
-)
+from repro.core.pipeline import IPS
 from repro.distributed.checkpoint import CheckpointStore, unit_key
 from repro.distributed.executor import (
     Executor,
@@ -42,13 +35,11 @@ from repro.distributed.executor import (
 )
 from repro.distributed.faults import DroppedResult, FaultInjector, FaultPlan
 from repro.distributed.interrupt import GracefulInterrupt
-from repro.exceptions import EmptyPoolError, QuorumError, ValidationError
-from repro.filters.dabf import DABF, PruneReport
+from repro.exceptions import EmptyPoolError, QuorumError
 from repro.instanceprofile.candidates import BagSample, CandidatePool, bag_candidates
 from repro.instanceprofile.sampling import resolve_lengths
-from repro.obs import DEFAULT_JSONL_PATH, make_tracer, run_manifest
 from repro.ts.series import Dataset
-from repro.types import Candidate, DiscoveryResult
+from repro.types import Candidate
 
 
 def validate_unit_result(value: object) -> str | None:
@@ -94,15 +85,19 @@ def generate_unit_candidates(unit: WorkUnit) -> list[Candidate]:
     return candidates
 
 
-class DistributedIPS:
+class DistributedIPS(IPS):
     """IPS with distributed candidate generation.
+
+    Only Algorithm 1 is swapped (:meth:`_generate`); pruning, selection,
+    budgets, observability and the result's ``extra`` keys are those of
+    :class:`repro.core.pipeline.IPS`, which honours every pruning,
+    selection and LSH field of the config.
 
     Parameters
     ----------
     config:
-        The usual pipeline configuration (``use_dt_cr`` is always on here;
-        the distributed variant targets throughput). Set
-        ``config.fault_tolerance`` to enable the resilient path.
+        The usual pipeline configuration. Set ``config.fault_tolerance``
+        to enable the resilient path.
     executor:
         Any :class:`repro.distributed.executor.Executor`; defaults to the
         in-process serial executor.
@@ -120,13 +115,9 @@ class DistributedIPS:
         executor: Executor | None = None,
         fault_plan: FaultPlan | None = None,
     ) -> None:
-        self.config = config or IPSConfig()
+        super().__init__(config)
         self.executor = executor if executor is not None else SerialExecutor()
         self.fault_plan = fault_plan
-        #: The trace of the last ``discover`` call in a trace mode.
-        self.trace_ = None
-        #: Tracer handed over by ``IPSClassifier`` (see ``_begin_trace``).
-        self._pending_tracer = None
 
     def build_work_units(self, dataset: Dataset) -> list[WorkUnit]:
         """Partition Algorithm 1 into per-(class, sample) units."""
@@ -358,219 +349,91 @@ class DistributedIPS:
         }
         return pool, stats
 
-    def discover(self, dataset: Dataset) -> DiscoveryResult:
-        """Distributed Algorithm 1, then the usual Algorithms 2-4.
+    def _generate(
+        self, dataset: Dataset, lengths, tracker, tracer, counters, gen_span
+    ) -> tuple[CandidatePool, dict]:
+        """Distributed Algorithm 1: run the work units and merge them.
 
         Fail-fast by default (any worker exception propagates, as the
         original implementation did); with ``config.fault_tolerance`` set
         or a ``fault_plan`` injected, the resilient path described in the
         module docstring runs instead. In the trace modes every work unit
         leaves a ``"unit"`` event recording its attempts, checkpoint
-        provenance, and final fate.
+        provenance, and final fate. Pruning and selection then run in
+        :meth:`IPS.discover` exactly as for the serial generator.
         """
-        if dataset.n_series < 1:
-            raise ValidationError("empty dataset")
         config = self.config
-        tracer = self._pending_tracer
-        self._pending_tracer = None
-        if tracer is None:
-            tracer = make_tracer(config.observability)
-        self.trace_ = tracer if tracer.active else None
-        if tracer.active:
-            tracer.manifest = run_manifest(config, dataset)
-        tracker = config.budget.start() if config.budget is not None else None
-        with tracer.span(
-            "discover",
-            distributed=True,
-            n_series=dataset.n_series,
-            n_classes=dataset.n_classes,
-            series_length=dataset.series_length,
-            k=config.k,
-            seed=config.seed,
-        ):
-            result = self._discover_inner(dataset, tracker, tracer)
-        if tracer.active:
-            result.extra["trace"] = tracer
-            if tracer.mode == "trace+jsonl":
-                tracer.to_jsonl(config.obs_jsonl_path or DEFAULT_JSONL_PATH)
-        return result
+        units = self.build_work_units(dataset)
+        gen_span.set(n_units=len(units))
+        fault_tolerance = config.fault_tolerance
+        worker = generate_unit_candidates
+        if self.fault_plan is not None:
+            worker = FaultInjector(worker, self.fault_plan)
+            if fault_tolerance is None:
+                fault_tolerance = FaultToleranceConfig()
 
-    def _discover_inner(self, dataset: Dataset, tracker, tracer) -> DiscoveryResult:
-        """The phases of :meth:`discover`, inside the root span."""
-        config = self.config
-
-        start = time.perf_counter()
-        with tracer.span("generation", q_n=config.q_n) as gen_span:
-            units = self.build_work_units(dataset)
-            gen_span.set(n_units=len(units))
-            fault_tolerance = config.fault_tolerance
-            worker = generate_unit_candidates
-            if self.fault_plan is not None:
-                worker = FaultInjector(worker, self.fault_plan)
-                if fault_tolerance is None:
-                    fault_tolerance = FaultToleranceConfig()
-
-            run_stats: dict = {}
-            attempted_units = units
-            if fault_tolerance is None and tracker is None:
-                per_unit = self.executor.map(worker, units)
-                outcomes = [
-                    UnitOutcome(index=i, value=value)
-                    for i, value in enumerate(per_unit)
-                ]
-                quorum = 1.0
-            elif fault_tolerance is None:
-                # Fail-fast semantics, but executed one round (same sample_id
-                # across classes) at a time so the budget can truncate at a
-                # deterministic round boundary. The first round always runs.
-                by_round: dict[int, list[int]] = {}
-                for i, unit in enumerate(units):
-                    by_round.setdefault(unit.sample_id, []).append(i)
-                attempted: list[tuple[WorkUnit, UnitOutcome]] = []
-                rounds_run = 0
-                rounds = [by_round[s] for s in sorted(by_round)]
-                for round_no, batch in enumerate(rounds):
-                    if round_no > 0 and tracker.exhausted:
-                        break
-                    values = self.executor.map(worker, [units[i] for i in batch])
-                    rounds_run += 1
-                    for i, value in zip(batch, values):
-                        attempted.append(
-                            (units[i], UnitOutcome(index=i, value=value))
-                        )
-                        tracker.charge(len(value), sum(c.length for c in value))
-                attempted.sort(key=lambda pair: pair[1].index)
-                attempted_units = [u for u, _ in attempted]
-                outcomes = [o for _, o in attempted]
-                tracker.record_phase(
-                    "generation",
-                    rounds_completed=rounds_run,
-                    rounds_total=len(rounds),
-                    truncated=rounds_run < len(rounds),
-                )
-                quorum = 1.0
-            else:
-                attempted_units, outcomes, run_stats = self._run_fault_tolerant(
-                    dataset, units, worker, fault_tolerance, tracker
-                )
-                quorum = fault_tolerance.quorum
-            if tracer.active:
-                for unit, outcome in zip(attempted_units, outcomes):
-                    tracer.event(
-                        "unit",
-                        label=unit.label,
-                        sample_id=unit.sample_id,
-                        ok=outcome.ok,
-                        attempts=outcome.attempts,
-                        from_checkpoint=outcome.from_checkpoint,
-                        elapsed=outcome.elapsed,
-                        error=outcome.error,
-                    )
-                    if not outcome.ok:
-                        tracer.count("units.failed")
-                    elif outcome.from_checkpoint:
-                        tracer.count("units.from_checkpoint")
-                    elif outcome.attempts > 1:
-                        tracer.count("units.recovered")
-            pool, merge_stats = self._merge_outcomes(
-                attempted_units, outcomes, quorum
-            )
-            if len(pool) == 0:
-                raise EmptyPoolError(
-                    "distributed generation produced no candidates"
-                )
-            gen_span.set(
-                n_units_attempted=len(attempted_units), n_candidates=len(pool)
-            )
-            tracer.count("candidates.generated", len(pool))
-        time_generation = time.perf_counter() - start
-
-        out_of_budget = tracker is not None and tracker.exhausted
-        if out_of_budget:
-            tracer.event(
-                "budget.exhausted", phase="generation", reason=tracker.check()
-            )
-        start = time.perf_counter()
-        with tracer.span("pruning") as prune_span:
-            if out_of_budget:
-                # Anytime truncation: skip pruning, fall back to brute scoring.
-                dabf = None
-                pruned, report = pool.copy(), PruneReport()
-                prune_span.set(method="skipped(budget)")
-            elif dataset.n_classes > 1:
-                with tracer.span("dabf.build"):
-                    dabf = DABF.build(
-                        pool,
-                        scheme=config.lsh_scheme,
-                        n_projections=config.n_projections,
-                        bins=config.bins,
-                        seed=config.seed,
-                    )
-                with tracer.span("dabf.prune"):
-                    pruned, report = dabf.prune(pool, theta=config.theta)
-                    pruned = restore_emptied_classes(pool, pruned)
-                prune_span.set(method="dabf")
-            else:
-                dabf = DABF.build(pool, seed=config.seed)
-                pruned, report = pool.copy(), PruneReport()
-                prune_span.set(method="single-class-passthrough")
-            prune_span.set(n_removed=report.n_removed, n_kept=len(pruned))
-            tracer.count("candidates.pruned", report.n_removed)
-        time_pruning = time.perf_counter() - start
-        if tracker is not None:
-            tracker.record_phase("pruning", skipped=out_of_budget)
-
-        start = time.perf_counter()
-
-        def _score(active_pool: CandidatePool, label: int) -> UtilityScores:
-            if dabf is None:
-                return score_candidates_brute(
-                    dataset,
-                    active_pool,
-                    label,
-                    use_cr=False,
-                    normalize=config.normalize_utility_sums,
-                )
-            return score_candidates_dt(
-                dataset,
-                active_pool,
-                label,
-                dabf,
-                normalize=config.normalize_utility_sums,
-            )
-
-        with tracer.span("selection", dt_used=dabf is not None):
-            scores_by_class = score_with_class_fallback(
-                _score, pruned, pool, range(dataset.n_classes), tracer=tracer
-            )
-            shapelets = select_top_k_per_class(scores_by_class, config.k)
-        time_selection = time.perf_counter() - start
-
-        extra = {
-            "n_work_units": len(units),
-            "prune_report": report,
-            **merge_stats,
-            **run_stats,
-        }
-        completed = not run_stats.get("interrupted", False)
-        if tracker is not None:
+        run_stats: dict = {}
+        attempted_units = units
+        if fault_tolerance is None and tracker is None:
+            per_unit = self.executor.map(worker, units)
+            outcomes = [
+                UnitOutcome(index=i, value=value)
+                for i, value in enumerate(per_unit)
+            ]
+            quorum = 1.0
+        elif fault_tolerance is None:
+            # Fail-fast semantics, but executed one round (same sample_id
+            # across classes) at a time so the budget can truncate at a
+            # deterministic round boundary. The first round always runs.
+            by_round: dict[int, list[int]] = {}
+            for i, unit in enumerate(units):
+                by_round.setdefault(unit.sample_id, []).append(i)
+            attempted: list[tuple[WorkUnit, UnitOutcome]] = []
+            rounds_run = 0
+            rounds = [by_round[s] for s in sorted(by_round)]
+            for round_no, batch in enumerate(rounds):
+                if round_no > 0 and tracker.exhausted:
+                    break
+                values = self.executor.map(worker, [units[i] for i in batch])
+                rounds_run += 1
+                for i, value in zip(batch, values):
+                    attempted.append((units[i], UnitOutcome(index=i, value=value)))
+                    tracker.charge(len(value), sum(c.length for c in value))
+            attempted.sort(key=lambda pair: pair[1].index)
+            attempted_units = [u for u, _ in attempted]
+            outcomes = [o for _, o in attempted]
             tracker.record_phase(
-                "selection",
-                classes_scored=len(scores_by_class),
-                dt_used=dabf is not None,
+                "generation",
+                rounds_completed=rounds_run,
+                rounds_total=len(rounds),
+                truncated=rounds_run < len(rounds),
             )
-            completed = completed and not (
-                tracker.progress.get("generation", {}).get("truncated", False)
-                or out_of_budget
+            quorum = 1.0
+        else:
+            attempted_units, outcomes, run_stats = self._run_fault_tolerant(
+                dataset, units, worker, fault_tolerance, tracker
             )
-            extra["budget"] = tracker.snapshot()
-        return DiscoveryResult(
-            shapelets=shapelets,
-            n_candidates_generated=len(pool),
-            n_candidates_after_pruning=len(pruned),
-            time_candidate_generation=time_generation,
-            time_pruning=time_pruning,
-            time_selection=time_selection,
-            completed=completed,
-            extra=extra,
-        )
+            quorum = fault_tolerance.quorum
+        if tracer.active:
+            for unit, outcome in zip(attempted_units, outcomes):
+                tracer.event(
+                    "unit",
+                    label=unit.label,
+                    sample_id=unit.sample_id,
+                    ok=outcome.ok,
+                    attempts=outcome.attempts,
+                    from_checkpoint=outcome.from_checkpoint,
+                    elapsed=outcome.elapsed,
+                    error=outcome.error,
+                )
+                if not outcome.ok:
+                    tracer.count("units.failed")
+                elif outcome.from_checkpoint:
+                    tracer.count("units.from_checkpoint")
+                elif outcome.attempts > 1:
+                    tracer.count("units.recovered")
+        pool, merge_stats = self._merge_outcomes(attempted_units, outcomes, quorum)
+        if len(pool) == 0:
+            raise EmptyPoolError("distributed generation produced no candidates")
+        gen_span.set(n_units_attempted=len(attempted_units))
+        return pool, {"n_work_units": len(units), **merge_stats, **run_stats}

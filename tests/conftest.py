@@ -42,8 +42,9 @@ def pytest_runtest_call(item):
 
 def pytest_collection_modifyitems(items):
     """File-prefix markers applied automatically, so ``pytest -m serve``
-    / ``pytest -m campaign`` (and their ``make verify-*`` targets) select
-    whole suites without per-file bookkeeping."""
+    / ``pytest -m campaign`` / ``pytest -m robustness`` (and their
+    ``make verify-*`` targets) select whole suites without per-file
+    bookkeeping."""
     for item in items:
         if item.fspath.basename.startswith("test_serve"):
             item.add_marker(pytest.mark.serve)
@@ -55,6 +56,8 @@ def pytest_collection_modifyitems(items):
             item.add_marker(pytest.mark.streaming)
         if item.fspath.basename.startswith(("test_obs", "test_telemetry")):
             item.add_marker(pytest.mark.obs)
+        if item.fspath.basename.startswith("test_distributed"):
+            item.add_marker(pytest.mark.robustness)
 
 
 @pytest.fixture()

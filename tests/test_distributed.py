@@ -2,9 +2,14 @@
 
 from __future__ import annotations
 
+import dataclasses
+import types
+
 import numpy as np
 import pytest
 
+import repro.core.budget as budget_module
+from repro.core.budget import Budget
 from repro.core.config import IPSConfig
 from repro.core.pipeline import IPS
 from repro.datasets.generators import make_planted_dataset
@@ -16,7 +21,25 @@ from repro.distributed import (
 )
 from repro.distributed.discovery import generate_unit_candidates
 from repro.exceptions import ValidationError
+from repro.filters.dabf import DABF
 from repro.instanceprofile import BaggingSampler, generate_candidates
+
+
+def feed_unit_samples(monkeypatch, dataset, units):
+    """Make ``BaggingSampler`` hand out the distributed units' samples.
+
+    The serial and distributed generators draw their bagging samples
+    with different RNG schemes by design; patched, the serial pipeline
+    sees exactly the rows each work unit saw.
+    """
+    rows_by_class: dict[int, list[np.ndarray]] = {}
+    for unit in units:
+        rows_by_class.setdefault(unit.label, []).append(np.asarray(unit.rows))
+    monkeypatch.setattr(
+        BaggingSampler,
+        "samples_for_class",
+        lambda self, class_rows: rows_by_class[int(dataset.y[class_rows[0]])],
+    )
 
 
 @pytest.fixture(scope="module")
@@ -132,14 +155,7 @@ class TestDistributedDiscovery:
         monkeypatch.setattr(dist, "_merge_outcomes", capture)
         dist.discover(planted)
 
-        rows_by_class: dict[int, list[np.ndarray]] = {}
-        for unit in units:
-            rows_by_class.setdefault(unit.label, []).append(np.asarray(unit.rows))
-        monkeypatch.setattr(
-            BaggingSampler,
-            "samples_for_class",
-            lambda self, class_rows: rows_by_class[int(planted.y[class_rows[0]])],
-        )
+        feed_unit_samples(monkeypatch, planted, units)
         serial = generate_candidates(
             planted,
             q_n=config.q_n,
@@ -159,3 +175,85 @@ class TestDistributedDiscovery:
 
         assert len(serial) > 0
         assert signature(merged["pool"]) == signature(serial)
+
+
+_CELLS = [
+    pytest.param(dict(use_dabf=dabf, use_dt_cr=dt), id=f"dabf={dabf}-dt={dt}")
+    for dabf in (True, False)
+    for dt in (True, False)
+] + [
+    pytest.param(
+        dict(lsh_scheme="cosine", n_projections=4, bins=8), id="cosine-lsh"
+    )
+]
+
+
+class TestOnePipeline:
+    """``DistributedIPS`` swaps only candidate generation: fed the same
+    bagging samples, it prunes and selects exactly as ``IPS`` does, for
+    every pruning, selection and LSH setting."""
+
+    @pytest.fixture(scope="class", params=[3, 1], ids=["3-class", "1-class"])
+    def dataset(self, request):
+        return make_planted_dataset(
+            n_classes=request.param, n_instances=12, length=64, seed=3
+        )
+
+    @pytest.mark.parametrize("fields", _CELLS)
+    def test_distributed_equals_serial_on_same_samples(
+        self, dataset, fields, monkeypatch
+    ):
+        config = IPSConfig(
+            q_n=4, q_s=3, k=3, length_ratios=(0.2, 0.35), seed=0, **fields
+        )
+        dist = DistributedIPS(config)
+        distributed = dist.discover(dataset)
+        feed_unit_samples(monkeypatch, dataset, dist.build_work_units(dataset))
+        serial = IPS(config).discover(dataset)
+
+        assert distributed.n_candidates_generated == serial.n_candidates_generated
+        assert (
+            distributed.n_candidates_after_pruning
+            == serial.n_candidates_after_pruning
+        )
+        assert (
+            distributed.extra["prune_report"].n_removed
+            == serial.extra["prune_report"].n_removed
+        )
+        assert len(distributed.shapelets) == len(serial.shapelets) > 0
+        for a, b in zip(distributed.shapelets, serial.shapelets):
+            assert a.label == b.label
+            assert a.score == b.score
+            assert np.array_equal(a.values, b.values)
+
+
+class TestDeadlineDuringPruning:
+    """A deadline that expires while pruning runs downgrades selection to
+    brute scoring and flags the run incomplete, serial or distributed."""
+
+    @pytest.mark.parametrize("discoverer", [IPS, DistributedIPS])
+    def test_expiry_in_pruning_skips_dt(
+        self, planted, config, discoverer, monkeypatch
+    ):
+        real_monotonic = budget_module.time.monotonic
+        skew = [0.0]
+        monkeypatch.setattr(
+            budget_module,
+            "time",
+            types.SimpleNamespace(monotonic=lambda: real_monotonic() + skew[0]),
+        )
+        prune = DABF.prune
+
+        def prune_then_expire(self, *args, **kwargs):
+            result = prune(self, *args, **kwargs)
+            skew[0] = 7200.0
+            return result
+
+        monkeypatch.setattr(DABF, "prune", prune_then_expire)
+        budgeted = dataclasses.replace(config, budget=Budget(max_seconds=3600.0))
+        result = discoverer(budgeted).discover(planted)
+
+        assert skew[0] == 7200.0
+        assert result.completed is False
+        assert result.extra["budget"]["progress"]["selection"]["dt_used"] is False
+        assert len(result.shapelets) > 0

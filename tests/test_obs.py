@@ -14,7 +14,8 @@ Contracts pinned here:
   ``"perf"`` to the result;
 * baselines surface kernel perf counters at ``model.perf_``;
 * distributed discovery leaves one ``"unit"`` event per work unit with
-  retry/checkpoint provenance.
+  retry/checkpoint provenance, and otherwise records the serial run's
+  stage spans and ``extra["perf"]``.
 """
 
 from __future__ import annotations
@@ -392,6 +393,37 @@ class TestDistributedTrace:
         assert counters["units.recovered"] >= 1
         assert Trace.from_jsonl(trace.to_jsonl()).closed
         assert len(result.shapelets) > 0
+
+
+    def test_counters_mode_reports_serial_perf_keys(self, dataset):
+        distributed = DistributedIPS(_config(observability="counters")).discover(
+            dataset
+        )
+        serial = IPS(_config(observability="counters")).discover(dataset)
+        assert "perf" in distributed.extra
+        assert distributed.extra["perf"].keys() == serial.extra["perf"].keys()
+        assert "generation" in distributed.extra["perf"]["phase_seconds"]
+
+    def test_stage_spans_match_serial(self, dataset):
+        """Same stages under ``discover`` as a serial run; generation holds
+        one ``unit`` event per work unit instead of rounds."""
+
+        def stages(trace):
+            [discover] = trace.find("discover")
+            return [
+                (stage.name, [child.name for child in stage.children])
+                for stage in discover.children
+                if stage.name != "generation"
+            ], [stage.name for stage in discover.children]
+
+        distributed = DistributedIPS(_config(observability="trace")).discover(
+            dataset
+        )
+        serial = IPS(_config(observability="trace")).discover(dataset)
+        trace = distributed.extra["trace"]
+        assert stages(trace) == stages(serial.extra["trace"])
+        [generation] = trace.find("generation")
+        assert [c.name for c in generation.children] == ["unit"] * (2 * 8)
 
 
 class TestBaselinePerf:
