@@ -19,12 +19,14 @@ verify-robustness:
 	PYTHONPATH=src $(PYTHON) -m repro run ItalyPowerDemand --method IPS \
 		--max-train 16 --max-test 20 --k 3 --budget-seconds 0.0
 
-# Bit-identity gate of the optimised paths: batched-vs-scalar kernels,
-# byte-budget, spectra-store and batched-STOMP differential tests, and
-# the SVM coordinate loop, DT utility scoring and LSH rank-cache oracles.
-# Performance is measured by `verify-e2e`.
+# Bit-identity gate of the optimised paths: brute-force oracles of the
+# scalar kernels, batched-vs-scalar kernels, byte-budget, spectra-store
+# and batched-STOMP differential tests, and the SVM coordinate loop, DT
+# utility scoring and LSH rank-cache oracles. Performance is measured by
+# `verify-e2e`.
 verify-perf:
-	PYTHONPATH=src $(PYTHON) -m pytest -q tests/test_kernels.py tests/test_stomp_batched.py \
+	PYTHONPATH=src $(PYTHON) -m pytest -q tests/test_kernels_distance.py tests/test_kernels_mass.py \
+		tests/test_kernels.py tests/test_stomp_batched.py \
 		tests/test_classify_svm.py tests/test_core_utility.py tests/test_lsh_table.py
 
 # End-to-end benchmark, the repo's one performance harness: the

@@ -38,6 +38,7 @@ from repro.distributed.interrupt import GracefulInterrupt
 from repro.exceptions import EmptyPoolError, QuorumError
 from repro.instanceprofile.candidates import BagSample, CandidatePool, bag_candidates
 from repro.instanceprofile.sampling import resolve_lengths
+from repro.kernels import PerfCounters
 from repro.ts.series import Dataset
 from repro.types import Candidate
 
@@ -64,13 +65,16 @@ def validate_unit_result(value: object) -> str | None:
     return None
 
 
-def generate_unit_candidates(unit: WorkUnit) -> list[Candidate]:
+def generate_unit_candidates(
+    unit: WorkUnit, counters: PerfCounters | None = None
+) -> list[Candidate]:
     """Worker function: Algorithm-1 inner loop for one (class, sample) unit.
 
     Module-level (picklable) so it can run in a process pool. Returns the
     motif and discord candidates of the unit's concatenated sample at
     every requested length; those profiles share one batched STOMP row
     loop, through the same helper the serial generator runs per round.
+    Kernel work is tallied into ``counters`` when given.
     """
     sample = BagSample(
         unit.label, unit.sample_id, np.asarray(unit.rows), unit.X_rows
@@ -81,7 +85,39 @@ def generate_unit_candidates(unit: WorkUnit) -> list[Candidate]:
         unit.motifs_per_profile,
         unit.discords_per_profile,
         unit.normalized,
+        counters=counters,
     )
+    return candidates
+
+
+class _CountedWorker:
+    """Run a unit worker with per-unit :class:`PerfCounters`.
+
+    Returns ``(candidates, tallies)``: the kernel tallies travel back
+    beside the candidate list, never inside it, so fault injection, the
+    payload check, the checkpoint store and the merge all see the plain
+    list. Picklable whenever the wrapped worker is.
+    """
+
+    def __init__(self, fn) -> None:
+        self.fn = fn
+
+    def for_attempt(self, attempt: int) -> "_CountedWorker":
+        """The per-attempt variant of a fault-injecting worker."""
+        if hasattr(self.fn, "for_attempt"):
+            return _CountedWorker(self.fn.for_attempt(attempt))
+        return self
+
+    def __call__(self, unit: WorkUnit) -> tuple[object, PerfCounters]:
+        tallies = PerfCounters()
+        return self.fn(unit, tallies), tallies
+
+
+def _accept(result: tuple[object, PerfCounters], counters) -> object:
+    """Fold an accepted unit's tallies into the run counters; return
+    its candidate list."""
+    candidates, tallies = result
+    counters.merge(tallies)
     return candidates
 
 
@@ -176,7 +212,8 @@ class DistributedIPS(IPS):
         units: list[WorkUnit],
         worker,
         fault_tolerance: FaultToleranceConfig,
-        tracker=None,
+        tracker,
+        counters,
     ) -> tuple[list[WorkUnit], list[UnitOutcome], dict]:
         """Execute units under retries + optional checkpoint resume.
 
@@ -220,7 +257,7 @@ class DistributedIPS(IPS):
             max_delay=fault_tolerance.max_delay,
             jitter=fault_tolerance.jitter,
             unit_timeout=fault_tolerance.unit_timeout,
-            validate=validate_unit_result,
+            validate=lambda result: validate_unit_result(result[0]),
             seed=jitter_seed,
         )
         # One batch per bagging round (same sample_id across classes):
@@ -249,6 +286,8 @@ class DistributedIPS(IPS):
                 rounds_run += 1
                 for index, outcome in zip(batch, computed):
                     outcome.index = index
+                    if outcome.ok:
+                        outcome.value = _accept(outcome.value, counters)
                     outcomes[index] = outcome
                     n_computed += 1
                     if store is not None and outcome.ok:
@@ -371,14 +410,15 @@ class DistributedIPS(IPS):
             worker = FaultInjector(worker, self.fault_plan)
             if fault_tolerance is None:
                 fault_tolerance = FaultToleranceConfig()
+        worker = _CountedWorker(worker)
 
         run_stats: dict = {}
         attempted_units = units
         if fault_tolerance is None and tracker is None:
             per_unit = self.executor.map(worker, units)
             outcomes = [
-                UnitOutcome(index=i, value=value)
-                for i, value in enumerate(per_unit)
+                UnitOutcome(index=i, value=_accept(result, counters))
+                for i, result in enumerate(per_unit)
             ]
             quorum = 1.0
         elif fault_tolerance is None:
@@ -396,7 +436,8 @@ class DistributedIPS(IPS):
                     break
                 values = self.executor.map(worker, [units[i] for i in batch])
                 rounds_run += 1
-                for i, value in zip(batch, values):
+                for i, result in zip(batch, values):
+                    value = _accept(result, counters)
                     attempted.append((units[i], UnitOutcome(index=i, value=value)))
                     tracker.charge(len(value), sum(c.length for c in value))
             attempted.sort(key=lambda pair: pair[1].index)
@@ -411,7 +452,7 @@ class DistributedIPS(IPS):
             quorum = 1.0
         else:
             attempted_units, outcomes, run_stats = self._run_fault_tolerant(
-                dataset, units, worker, fault_tolerance, tracker
+                dataset, units, worker, fault_tolerance, tracker, counters
             )
             quorum = fault_tolerance.quorum
         if tracer.active:

@@ -198,7 +198,7 @@ class _BoundInjector:
         self._plan = plan
         self._attempt = attempt
 
-    def __call__(self, unit):
+    def __call__(self, unit, *args):
         plan = self._plan
         fault = plan.decide(unit.seed, self._attempt)
         if fault == "slow":
@@ -216,7 +216,7 @@ class _BoundInjector:
                     f"injected hang (unit seed={unit.seed}, "
                     f"attempt={self._attempt})"
                 )
-        result = self._fn(unit)
+        result = self._fn(unit, *args)
         if fault == "nan":
             return _poison_candidates(result)
         if fault == "drop":
@@ -229,8 +229,8 @@ class _BoundInjector:
 class FaultInjector:
     """Wrap a worker function with a deterministic fault campaign.
 
-    Usable anywhere the bare worker is (including inside process pools).
-    Called directly it behaves as attempt 0; the retrying executor asks
+    Usable anywhere the bare worker is (including inside process pools);
+    extra positional arguments pass through to it. Called directly it behaves as attempt 0; the retrying executor asks
     for per-attempt variants via :meth:`for_attempt`, which is what makes
     injected faults transient and therefore recoverable.
     """
@@ -243,5 +243,5 @@ class FaultInjector:
         """The worker as seen on retry round ``attempt`` (0-based)."""
         return _BoundInjector(self.fn, self.plan, attempt)
 
-    def __call__(self, unit):
-        return self.for_attempt(0)(unit)
+    def __call__(self, unit, *args):
+        return self.for_attempt(0)(unit, *args)

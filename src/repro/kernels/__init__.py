@@ -22,14 +22,10 @@ baselines) behind one facade:
   FFT count, per-phase wall time) surfaced at
   ``DiscoveryResult.extra["perf"]``.
 
-All kernels are bit-compatible with the historical implementations; the
-old entry points (``repro.ts.distance``, ``repro.matrixprofile.mass``)
-remain importable as thin deprecated shims.
+Each distance definition has exactly one implementation, here.
 """
 
 from __future__ import annotations
-
-import warnings
 
 from repro.kernels.cache import SeriesCache
 from repro.kernels.rolling import RollingStats
@@ -75,36 +71,8 @@ __all__ = [
     "euclidean_distance",
     "mass",
     "raw_distance_profile",
-    "reset_deprecation_warnings",
     "sliding_dot_product",
     "sliding_mean_std",
     "squared_euclidean",
     "subsequence_distance",
-    "warn_deprecated_once",
 ]
-
-#: Shim call sites that have already warned this process.
-_WARNED: set[str] = set()
-
-
-def warn_deprecated_once(old: str, new: str) -> None:
-    """Emit one :class:`DeprecationWarning` per process for a legacy path.
-
-    The legacy distance entry points (``repro.ts.distance.*``,
-    ``repro.matrixprofile.mass.mass``) call this before delegating to the
-    kernel engine. Warning exactly once keeps migration pressure visible
-    without flooding tight loops that still go through the old names.
-    """
-    if old in _WARNED:
-        return
-    _WARNED.add(old)
-    warnings.warn(
-        f"{old} is deprecated; use {new} instead",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-
-
-def reset_deprecation_warnings() -> None:
-    """Forget which shims have warned (test hook)."""
-    _WARNED.clear()

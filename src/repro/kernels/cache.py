@@ -174,8 +174,8 @@ class SeriesCache:
     def sliding_mean_std(self, arr, window: int) -> tuple[np.ndarray, np.ndarray]:
         """Rolling mean/std of every length-``window`` subsequence.
 
-        Identical formula (and bits) to the historical
-        ``repro.ts.distance.sliding_mean_std``; negative variances from
+        Identical formula (and bits) to the scalar
+        :func:`repro.kernels.sliding_mean_std`; negative variances from
         cancellation are clipped at zero.
         """
         entry = self._entry(arr)

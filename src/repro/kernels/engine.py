@@ -15,11 +15,10 @@ vectorized multiply instead of a Python loop per query.
 Bit-compatibility contract
 --------------------------
 The batched kernels produce *bit-identical* outputs to the scalar ones,
-and the scalar ones are bit-identical to the historical implementations
-in ``repro.ts.distance`` / ``repro.matrixprofile.mass``: the FFT size is
-the same ``next_fast_len(N + L - 1)`` that ``scipy.signal.fftconvolve``
-picks, the direct-method cutover for tiny outputs is preserved, and every
-elementwise formula keeps its operation order. Discovery results are
+which are the reference implementations: the FFT size is the same
+``next_fast_len(N + L - 1)`` that ``scipy.signal.fftconvolve`` picks,
+the direct method takes over for tiny outputs, and every elementwise
+formula keeps its operation order. Discovery results are
 therefore unchanged whether caching/batching is on or off — the
 equivalence suite in ``tests/test_kernels.py`` pins this down.
 
@@ -43,8 +42,7 @@ from repro.kernels.cache import SeriesCache
 from repro.ts.preprocessing import FLAT_STD
 from repro.ts.windows import num_windows
 
-#: Below this many output windows the direct method beats the FFT
-#: (kept identical to the historical ``repro.ts.distance`` cutover).
+#: Below this many output windows the direct method beats the FFT.
 _FFT_CUTOVER = 8
 
 #: Hard ceiling, in bytes, on the *simultaneous* intermediates of one
@@ -202,10 +200,19 @@ def _check_finite_mass(query: np.ndarray, series: np.ndarray) -> None:
 def mass(query, series, *, normalized: bool = True, cache: SeriesCache | None = None):
     """MASS distance profile of ``query`` against every window of ``series``.
 
-    z-normalized Euclidean distances by default (the matrix-profile
-    convention, with the flat-window rules documented in
-    ``repro.matrixprofile.mass``), raw Euclidean otherwise. Returns an
-    array of length ``N - L + 1`` of non-squared distances.
+    Mueen's Algorithm for Similarity Search: z-normalized Euclidean
+    distances by default (the matrix-profile convention), via
+
+          d_j^2 = 2 L (1 - (QT_j - L m_q m_j) / (L s_q s_j))
+
+    with ``QT`` the sliding dot product and ``m``/``s`` the window means
+    and standard deviations. Flat-window convention: a constant window
+    z-normalizes to the zero vector, so flat-vs-non-flat distance is
+    exactly ``sqrt(L)`` and flat-vs-flat is ``0``. With
+    ``normalized=False``, raw Euclidean distances per the paper's Def. 4.
+    Returns an array of length ``N - L + 1`` of non-squared distances;
+    non-finite or non-1-D inputs raise
+    :class:`repro.exceptions.ValidationError`.
     """
     query = np.asarray(query, dtype=np.float64)
     series = np.asarray(series, dtype=np.float64)

@@ -1,9 +1,9 @@
 """Matrix profile substrate (Yeh et al., "Matrix Profile I", ICDM 2016).
 
-Implemented from scratch on numpy FFTs:
+Implemented from scratch on numpy FFTs, over the distance kernels of
+:mod:`repro.kernels` (whose :func:`~repro.kernels.mass` is the MASS
+distance profile of one query against every window of a series):
 
-* :func:`mass` — z-normalized (or raw) distance profile of one query against
-  every window of a series, in O(N log N).
 * :func:`stomp_self_join` / :func:`ab_join` — full matrix profile via the
   STOMP incremental dot-product recurrence, with trivial-match exclusion
   zones and optional validity masks (used to skip windows that cross
@@ -13,7 +13,6 @@ Implemented from scratch on numpy FFTs:
 """
 
 from repro.matrixprofile.discovery import top_k_discords, top_k_motifs
-from repro.matrixprofile.mass import mass, raw_distance_profile
 from repro.matrixprofile.profile import MatrixProfile, profile_diff
 from repro.matrixprofile.stomp import ab_join, default_exclusion, stomp_self_join
 
@@ -21,9 +20,7 @@ __all__ = [
     "MatrixProfile",
     "ab_join",
     "default_exclusion",
-    "mass",
     "profile_diff",
-    "raw_distance_profile",
     "stomp_self_join",
     "top_k_discords",
     "top_k_motifs",

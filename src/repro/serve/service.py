@@ -45,7 +45,7 @@ from repro.exceptions import (
     ServiceClosedError,
     ValidationError,
 )
-from repro.kernels import SeriesCache, warn_deprecated_once
+from repro.kernels import SeriesCache
 from repro.obs.telemetry import HealthReason, HealthReport
 from repro.serve.breaker import CLOSED, HALF_OPEN, OPEN, CircuitBreaker
 from repro.serve.faults import CORRUPT_LABEL, RequestFaultInjector
@@ -447,31 +447,27 @@ class InferenceService:
     def predict(self, X, deadline_s: float | None = None):
         """Predict labels for every row of ``X``; ``(M,)`` int64.
 
-        The :class:`repro.types.Predictor` surface: takes a 2-D matrix,
-        returns one label per row, and raises the first request's typed
-        error on failure (use :meth:`predict_many` for per-row outcomes).
-        A 1-D input is the pre-streaming single-series signature — it
-        still works (returning a scalar) but warns ``DeprecationWarning``
-        once per process; call :meth:`predict_one` instead.
+        The :class:`repro.types.Predictor` surface: returns one label per
+        row, and raises the first request's typed error on failure (use
+        :meth:`predict_many` for per-row outcomes). A 1-D input is one
+        row, as in :meth:`predict_proba`, so it returns shape ``(1,)``
+        like the offline classifier; :meth:`predict_one` returns a scalar.
         """
-        X = np.asarray(X, dtype=np.float64)
-        if X.ndim == 1:
-            warn_deprecated_once(
-                "InferenceService.predict(series) with a 1-D series",
-                "predict_one (or a 2-D matrix for the Predictor protocol)",
-            )
-            return self.predict_one(X, deadline_s)
-        futures = [self.submit(row, deadline_s) for row in X]
-        return np.asarray(
-            [future.result() for future in futures], dtype=np.int64
-        )
+        return np.asarray(self._results(X, deadline_s, "label"), dtype=np.int64)
 
-    def _gather_rows(self, X, deadline_s, mode: str) -> np.ndarray:
+    def _results(self, X, deadline_s, mode: str) -> list:
+        """Submit every row of ``X`` (a 1-D ``X`` is one row), then wait."""
         X = np.asarray(X, dtype=np.float64)
         if X.ndim == 1:
             X = X.reshape(1, -1)
         futures = [self.submit(row, deadline_s, mode=mode) for row in X]
-        rows = [np.asarray(future.result(), dtype=np.float64) for future in futures]
+        return [future.result() for future in futures]
+
+    def _gather_rows(self, X, deadline_s, mode: str) -> np.ndarray:
+        rows = [
+            np.asarray(result, dtype=np.float64)
+            for result in self._results(X, deadline_s, mode)
+        ]
         return (
             np.vstack(rows)
             if rows

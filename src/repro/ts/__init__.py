@@ -1,4 +1,4 @@
-"""Time-series primitives: containers, preprocessing, windows, distances, DTW.
+"""Time-series primitives: containers, preprocessing, windows, DTW.
 
 This subpackage is the lowest layer of the reproduction. Everything above it
 (matrix profile, instance profile, DABF, baselines) is written against these
@@ -8,14 +8,6 @@ integer label vector.
 """
 
 from repro.ts.concat import ConcatenatedSeries, concatenate_series
-from repro.ts.distance import (
-    distance_profile,
-    euclidean_distance,
-    pairwise_subsequence_distance,
-    sliding_mean_std,
-    squared_euclidean,
-    subsequence_distance,
-)
 from repro.ts.dtw import dtw_distance, lb_keogh
 from repro.ts.preprocessing import (
     linear_interpolate_resample,
@@ -29,18 +21,12 @@ __all__ = [
     "ConcatenatedSeries",
     "Dataset",
     "concatenate_series",
-    "distance_profile",
     "dtw_distance",
-    "euclidean_distance",
     "lb_keogh",
     "linear_interpolate_resample",
     "moving_average",
     "num_windows",
-    "pairwise_subsequence_distance",
-    "sliding_mean_std",
     "sliding_window_view",
-    "squared_euclidean",
-    "subsequence_distance",
     "subsequences_of",
     "validate_labels",
     "validate_series",

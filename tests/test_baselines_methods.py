@@ -186,7 +186,7 @@ class TestSTSpecifics:
         train, _test = planted
         model = ShapeletTransformST(k=5, max_candidates=150, seed=0).fit_dataset(train)
         # No two selected shapelets of equal length may be near-identical.
-        from repro.ts.distance import subsequence_distance
+        from repro.kernels import subsequence_distance
 
         shapelets = model.shapelets_
         for i in range(len(shapelets)):

@@ -7,7 +7,7 @@ import pytest
 
 from repro.core.transform import ShapeletTransform
 from repro.exceptions import NotFittedError, ValidationError
-from repro.ts.distance import subsequence_distance
+from repro.kernels import subsequence_distance
 from repro.types import Shapelet
 
 

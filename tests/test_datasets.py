@@ -40,7 +40,7 @@ class TestPlantedGenerator:
     def test_planted_patterns_create_cross_instance_similarity(self):
         """Within a class, instances share a close subsequence (the plant);
         across classes they do not — the property shapelet methods need."""
-        from repro.ts.distance import subsequence_distance
+        from repro.kernels import subsequence_distance
 
         ds = make_planted_dataset(n_classes=2, n_instances=20, length=80, seed=4)
         zero = ds.series_of_class(0)

@@ -124,7 +124,7 @@ class TestDegenerateKernels:
         assert np.isfinite(d)
 
     def test_mass_flat_query_flat_series(self):
-        from repro.matrixprofile.mass import mass
+        from repro.kernels import mass
 
         profile = mass(np.full(5, 2.0), np.full(20, 7.0))
         assert np.allclose(profile, 0.0)  # flat vs flat: distance 0

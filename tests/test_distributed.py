@@ -178,14 +178,26 @@ class TestDistributedDiscovery:
 
 
 _CELLS = [
-    pytest.param(dict(use_dabf=dabf, use_dt_cr=dt), id=f"dabf={dabf}-dt={dt}")
+    pytest.param(
+        dict(use_dabf=dabf, use_dt_cr=dt), None, id=f"dabf={dabf}-dt={dt}"
+    )
     for dabf in (True, False)
     for dt in (True, False)
 ] + [
     pytest.param(
-        dict(lsh_scheme="cosine", n_projections=4, bins=8), id="cosine-lsh"
-    )
+        dict(lsh_scheme="cosine", n_projections=4, bins=8),
+        None,
+        id="cosine-lsh",
+    ),
+    pytest.param({}, ProcessExecutor(max_workers=2), id="process-executor"),
 ]
+
+#: Kernel tallies of ``extra["perf"]`` that must not depend on where
+#: candidate generation ran.
+_TALLIES = (
+    "kernel_calls", "batch_calls", "fft_count", "cache_hits", "cache_misses",
+    "cache_hit_rate",
+)
 
 
 class TestOnePipeline:
@@ -199,14 +211,14 @@ class TestOnePipeline:
             n_classes=request.param, n_instances=12, length=64, seed=3
         )
 
-    @pytest.mark.parametrize("fields", _CELLS)
+    @pytest.mark.parametrize(("fields", "executor"), _CELLS)
     def test_distributed_equals_serial_on_same_samples(
-        self, dataset, fields, monkeypatch
+        self, dataset, fields, executor, monkeypatch
     ):
         config = IPSConfig(
             q_n=4, q_s=3, k=3, length_ratios=(0.2, 0.35), seed=0, **fields
         )
-        dist = DistributedIPS(config)
+        dist = DistributedIPS(config, executor)
         distributed = dist.discover(dataset)
         feed_unit_samples(monkeypatch, dataset, dist.build_work_units(dataset))
         serial = IPS(config).discover(dataset)
@@ -225,6 +237,11 @@ class TestOnePipeline:
             assert a.label == b.label
             assert a.score == b.score
             assert np.array_equal(a.values, b.values)
+        tallies = [
+            {key: result.extra["perf"][key] for key in _TALLIES}
+            for result in (distributed, serial)
+        ]
+        assert tallies[0] == tallies[1]
 
 
 class TestDeadlineDuringPruning:

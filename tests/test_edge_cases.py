@@ -16,9 +16,9 @@ from repro.datasets.generators import make_planted_dataset
 from repro.exceptions import LengthError, ValidationError
 from repro.filters.dabf import DABF
 from repro.instanceprofile.candidates import CandidatePool, generate_candidates
+from repro.kernels import distance_profile
 from repro.matrixprofile.stomp import stomp_self_join
 from repro.ts.concat import concatenate_series
-from repro.ts.distance import distance_profile
 from repro.ts.series import Dataset
 from repro.types import Candidate, CandidateKind
 

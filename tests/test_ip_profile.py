@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.instanceprofile.profile import instance_profile
-from repro.matrixprofile.mass import mass
+from repro.kernels import mass
 from repro.ts.concat import concatenate_series
 
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.exceptions import ValidationError
-from repro.matrixprofile.mass import mass
+from repro.kernels import mass
 from repro.matrixprofile.stomp import ab_join, default_exclusion, stomp_self_join
 
 

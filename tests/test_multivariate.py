@@ -122,7 +122,7 @@ class TestMultivariateGenerator:
         """Both informative channels must be learnable with the SAME labels."""
         from repro.classify.neighbors import OneNearestNeighbor
         from repro.datasets import make_multivariate_planted
-        from repro.ts.distance import subsequence_distance
+        from repro.kernels import subsequence_distance
 
         mv = make_multivariate_planted(
             n_classes=2, n_instances=24, n_dimensions=3, length=64,

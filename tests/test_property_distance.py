@@ -7,9 +7,9 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from repro.matrixprofile.mass import mass
-from repro.ts.distance import (
+from repro.kernels import (
     distance_profile,
+    mass,
     sliding_mean_std,
     squared_euclidean,
     subsequence_distance,

@@ -398,7 +398,25 @@ class TestInferenceService:
     ):
         offline = frozen_classifier.predict(request_matrix[:1])[0]
         with InferenceService(frozen_classifier) as service:
-            assert service.predict(request_matrix[0]) == offline
+            assert service.predict_one(request_matrix[0]) == offline
+
+    @pytest.mark.parametrize(
+        "method", ["predict", "predict_proba", "decision_function"]
+    )
+    def test_1d_row_has_offline_shape(
+        self, frozen_classifier, request_matrix, method
+    ):
+        row = request_matrix[0]
+        offline = getattr(frozen_classifier, method)(row)
+        with InferenceService(frozen_classifier) as service:
+            served = getattr(service, method)(row)
+            one = service.predict_one(row)
+        assert served.shape == offline.shape
+        np.testing.assert_array_equal(served, offline)
+        if method == "predict":
+            np.testing.assert_array_equal(
+                served, np.array([one], dtype=np.int64), strict=True
+            )
 
     def test_submit_before_start_refused(self, frozen_classifier):
         service = InferenceService(frozen_classifier)
@@ -439,7 +457,7 @@ class TestInferenceService:
         short[3] = np.nan
         config = ServeConfig(validation="repair")
         with InferenceService(frozen_classifier, config) as service:
-            label = service.predict(short)
+            label = service.predict_one(short)
         assert label in set(int(c) for c in tiny_two_class.classes_)
 
     def test_strict_mode_rejects_wrong_length_and_nans(
@@ -460,7 +478,7 @@ class TestInferenceService:
         offline = frozen_classifier.predict(request_matrix[:1])[0]
         config = ServeConfig(validation="off")
         with InferenceService(frozen_classifier, config) as service:
-            assert service.predict(request_matrix[0]) == offline
+            assert service.predict_one(request_matrix[0]) == offline
             with pytest.raises(InvalidRequestError, match="length"):
                 service.submit(tiny_two_class.X[0][:-7])
             bad = tiny_two_class.X[0].copy()
@@ -520,7 +538,7 @@ class TestInferenceService:
 
     def test_stats_surface_all_layers(self, frozen_classifier, request_matrix):
         with InferenceService(frozen_classifier) as service:
-            service.predict(request_matrix[0])
+            service.predict_one(request_matrix[0])
             stats = service.stats()
         assert {"submitted", "completed", "batches", "serial_fallbacks"} <= set(
             stats

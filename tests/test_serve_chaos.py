@@ -178,13 +178,13 @@ class TestFaultCampaigns:
         ) as service:
             for row in request_matrix[:3]:
                 with pytest.raises(RequestFailedError):
-                    service.predict(row)
+                    service.predict_one(row)
             assert service.stats()["breaker"]["times_opened"] >= 1
             # Faults off: drop the injector, wait out the cool-down so
             # the next request becomes the half-open probe that heals.
             service._injector = None
             time.sleep(0.05)
-            labels = [service.predict(row) for row in request_matrix[:6]]
+            labels = [service.predict_one(row) for row in request_matrix[:6]]
             stats = service.stats()
         np.testing.assert_array_equal(np.array(labels), offline[:6])
         assert stats["breaker"]["state"] == "closed"
@@ -465,5 +465,5 @@ class TestDeterminismAndSurvival:
                 isinstance(error, RequestFailedError) for _l, error in results
             )
             service._predict_matrix = original  # "deploy the fix"
-            assert service.predict(request_matrix[0]) == offline[0]
+            assert service.predict_one(request_matrix[0]) == offline[0]
             assert service.running

@@ -4,12 +4,10 @@ The session table must honor the serving disciplines: admission (session
 cap + TTL eviction), deadlines, the shared circuit breaker, per-mode
 chunk validation — and the batch Predictor surface (``predict`` /
 ``predict_proba`` / ``decision_function``) must keep working next to the
-sessions, including the warn-once 1-D ``predict`` deprecation shim.
+sessions.
 """
 
 from __future__ import annotations
-
-import warnings
 
 import numpy as np
 import pytest
@@ -24,7 +22,6 @@ from repro.exceptions import (
     UnknownSessionError,
     ValidationError,
 )
-from repro.kernels import reset_deprecation_warnings
 from repro.serve import ServeConfig, StreamConfig, StreamingInferenceService
 from repro.serve.breaker import OPEN
 
@@ -249,21 +246,3 @@ class TestBatchSurface:
         np.testing.assert_array_equal(
             service.classes_[np.argmax(scores, axis=1)], service.predict(X)
         )
-
-    def test_1d_predict_shim_warns_once(self, service, tiny_two_class):
-        reset_deprecation_warnings()
-        try:
-            row = tiny_two_class.X[0]
-            with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always")
-                a = service.predict(row)
-                b = service.predict(row)
-            deprecations = [
-                w for w in caught if issubclass(w.category, DeprecationWarning)
-            ]
-            assert len(deprecations) == 1
-            message = str(deprecations[0].message)
-            assert "deprecated" in message and "predict_one" in message
-            assert a == b == service.predict_one(row)
-        finally:
-            reset_deprecation_warnings()
