@@ -21,13 +21,15 @@ verify-robustness:
 
 # Bit-identity gate of the optimised paths: brute-force oracles of the
 # scalar kernels, batched-vs-scalar kernels, byte-budget, spectra-store
-# and batched-STOMP differential tests, and the SVM coordinate loop, DT
-# utility scoring and LSH rank-cache oracles. Performance is measured by
-# `verify-e2e`.
+# and batched-STOMP differential tests, the SVM coordinate loop, DT
+# utility scoring and LSH rank-cache oracles, and the DABF's lazy Table III
+# fit (equal to an eager fit, never run by build or prune). Performance is
+# measured by `verify-e2e`.
 verify-perf:
 	PYTHONPATH=src $(PYTHON) -m pytest -q tests/test_kernels_distance.py tests/test_kernels_mass.py \
 		tests/test_kernels.py tests/test_stomp_batched.py \
-		tests/test_classify_svm.py tests/test_core_utility.py tests/test_lsh_table.py
+		tests/test_classify_svm.py tests/test_core_utility.py tests/test_lsh_table.py \
+		tests/test_filters_dabf.py tests/test_filters_distribution.py
 
 # End-to-end benchmark, the repo's one performance harness: the
 # benchmark's smoke tests, then one full run of each workload (end-to-end

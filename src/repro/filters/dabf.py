@@ -4,9 +4,10 @@ A DABF answers "is this query close to *most elements* of the set?" in
 O(N):
 
 1. **Construction (Algorithm 2).** Per class: hash every candidate into an
-   LSH bucket table; rank buckets by center-to-origin distance;
-   z-normalize the member distances; fit the best distribution to their
-   histogram (Table III shows this is almost always normal).
+   LSH bucket table; rank buckets by center-to-origin distance; keep the
+   mean and std of the member distances, all that the 3-sigma rule needs.
+   The best-fit distribution of their z-normalized histogram (Table III
+   shows it is almost always normal) is fitted when first read.
 2. **Query / pruning (Algorithm 3).** For a candidate ``e`` of class C,
    compute ``dist(LSH_Cbar(e), 0)`` in every *other* class's table,
    z-normalize by that class's distribution, and apply the 3-sigma rule:
@@ -55,6 +56,13 @@ class _LengthTable:
             return 0.0 if abs(norm - self.mean) < FLAT_STD else float("inf")
         return (norm - self.mean) / self.std
 
+    def member_zscores(self) -> np.ndarray:
+        """Z-normalized distance-to-origin of every member (zeros if flat)."""
+        norms = self.table.member_norms()
+        if self.std < FLAT_STD:
+            return np.zeros_like(norms)
+        return (norms - self.mean) / self.std
+
 
 class ClassDABF:
     """The per-class half of a DABF: ``(LSH_C, Distribution_C)``."""
@@ -81,8 +89,7 @@ class ClassDABF:
             seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
         )
         self._tables: dict[int, _LengthTable] = {}
-        self.distribution: DistributionFit | None = None
-        self.all_fits: list[DistributionFit] = []
+        self._fits: tuple[DistributionFit, list[DistributionFit]] | None = None
 
     def _prepare(self, values: np.ndarray) -> np.ndarray:
         values = np.asarray(values, dtype=np.float64)
@@ -94,13 +101,16 @@ class ClassDABF:
         return sorted(self._tables)
 
     def build(self, candidates: list[Candidate]) -> None:
-        """Algorithm 2 for one class: bucket, rank, normalize, fit."""
+        """Algorithm 2 for one class: bucket, rank, keep each length's mean/std.
+
+        The Table III distribution fit waits for the first read of
+        :attr:`distribution` or :attr:`all_fits`.
+        """
         if not candidates:
             raise ValidationError(f"class {self.label} has no candidates")
         by_length: dict[int, list[Candidate]] = {}
         for cand in candidates:
             by_length.setdefault(cand.length, []).append(cand)
-        pooled_zscores: list[np.ndarray] = []
         for length, group in sorted(by_length.items()):
             family = make_lsh(
                 self.scheme, dim=length, n_projections=self.n_projections, seed=self._rng
@@ -112,12 +122,24 @@ class ClassDABF:
             mean = float(norms.mean())
             std = float(norms.std())
             self._tables[length] = _LengthTable(table=table, mean=mean, std=std)
-            if std >= FLAT_STD:
-                pooled_zscores.append((norms - mean) / std)
-            else:
-                pooled_zscores.append(np.zeros_like(norms))
-        pooled = np.concatenate(pooled_zscores)
-        self.distribution, self.all_fits = fit_best_distribution(pooled, bins=self.bins)
+        self._fits = None
+
+    def _best_fit(self) -> tuple[DistributionFit | None, list[DistributionFit]]:
+        """Table III fit of the pooled per-length z-scores, made on first read."""
+        if self._fits is None and self._tables:
+            pooled = np.concatenate([self._tables[n].member_zscores() for n in self.lengths])
+            self._fits = fit_best_distribution(pooled, bins=self.bins)
+        return self._fits or (None, [])
+
+    @property
+    def distribution(self) -> DistributionFit | None:
+        """Best-fit family of the codomain histogram (None until built)."""
+        return self._best_fit()[0]
+
+    @property
+    def all_fits(self) -> list[DistributionFit]:
+        """Every family's fit of the codomain histogram ([] until built)."""
+        return self._best_fit()[1]
 
     def _route(self, values: np.ndarray) -> tuple[_LengthTable, np.ndarray]:
         """Pick the table for this query length, resampling if needed."""

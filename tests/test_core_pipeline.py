@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import repro.filters.dabf as dabf_module
 from repro.core.config import IPSConfig
 from repro.core.pipeline import IPS, IPSClassifier, score_with_class_fallback
 from repro.core.utility import UtilityScores
@@ -200,6 +201,20 @@ class TestIPSClassifier:
         assert len(machines) == 8
         for machine in machines:
             assert 0 < machine.n_iter_ < machine.max_epochs
+
+    def test_fit_and_predict_never_fit_a_distribution(self, monkeypatch):
+        """The DABF's Table III fit is for analysis: with the default
+        use_dabf and use_dt_cr, neither fit nor predict computes it."""
+
+        def refuse(*_args, **_kwargs):
+            raise AssertionError("fit_best_distribution called")
+
+        monkeypatch.setattr(dabf_module, "fit_best_distribution", refuse)
+        full = make_planted_dataset(n_classes=3, n_instances=24, length=60, seed=5)
+        config = IPSConfig()
+        assert config.use_dabf and config.use_dt_cr
+        clf = IPSClassifier(config).fit_dataset(full)
+        assert clf.predict(full.X).shape == (full.n_series,)
 
     @pytest.mark.parametrize("final_classifier", ["svm", "nb", "tree", "1nn"])
     def test_scores_do_not_depend_on_batch_size(

@@ -6,8 +6,11 @@ import numpy as np
 import pytest
 
 from repro.exceptions import ValidationError
+import repro.filters.dabf as dabf_module
 from repro.filters.dabf import DABF, ClassDABF, NaivePruner
+from repro.filters.distribution import fit_best_distribution
 from repro.instanceprofile.candidates import CandidatePool, generate_candidates
+from repro.ts.preprocessing import FLAT_STD
 from repro.types import Candidate, CandidateKind
 
 
@@ -121,6 +124,77 @@ class TestDABF:
         dabf = DABF.build(pool, scheme=scheme, seed=0)
         _pruned, report = dabf.prune(pool)
         assert report.n_removed >= 0
+
+
+def _refuse_to_fit(*_args, **_kwargs):
+    raise AssertionError("fit_best_distribution called")
+
+
+def _eager_zscores(cdabf: ClassDABF) -> np.ndarray:
+    """The pooled per-length z-scores, recomputed from the member norms."""
+    pooled = []
+    for length in cdabf.lengths:
+        norms = cdabf._tables[length].table.member_norms()
+        mean, std = float(norms.mean()), float(norms.std())
+        flat = std < FLAT_STD
+        pooled.append(np.zeros_like(norms) if flat else (norms - mean) / std)
+    return np.concatenate(pooled)
+
+
+class TestLazyDistributionFit:
+    """The Table III fit runs on first read, never in build or prune."""
+
+    def test_build_prune_and_ranks_never_fit(self, planted_pool, monkeypatch):
+        _dataset, pool = planted_pool
+        monkeypatch.setattr(dabf_module, "fit_best_distribution", _refuse_to_fit)
+        dabf = DABF.build(pool, seed=0)
+        _pruned, report = dabf.prune(pool)
+        assert report.n_removed + report.n_kept == len(pool)
+        cdabf = dabf.per_class[0]
+        rows = np.stack([c.values for c in pool.all_of_class(0) if c.length == 12])
+        assert cdabf.bucket_ranks_batch(rows).shape == (rows.shape[0],)
+        assert np.isfinite(cdabf.query_zscore(rows[0]))
+
+    @pytest.mark.parametrize("flat_length", [False, True])
+    def test_first_read_equals_an_eager_fit(self, planted_pool, flat_length):
+        _dataset, pool = planted_pool
+        members = pool.all_of_class(0)
+        if flat_length:  # one length whose members all hash to one norm
+            members = members + [
+                Candidate(values=np.ones(7), label=0, kind=CandidateKind.MOTIF, start=i)
+                for i in range(4)
+            ]
+        cdabf = ClassDABF(label=0, bins=12, seed=0)
+        cdabf.build(members)
+        best, fits = fit_best_distribution(_eager_zscores(cdabf), bins=12)
+        assert cdabf.distribution == best
+        assert cdabf.all_fits == fits
+        dabf = DABF({0: cdabf})
+        assert dabf.fits() == {0: best}
+
+    def test_second_read_does_not_refit(self, planted_pool, monkeypatch):
+        _dataset, pool = planted_pool
+        calls = []
+
+        def counting_fit(values, bins):
+            calls.append(bins)
+            return fit_best_distribution(values, bins=bins)
+
+        monkeypatch.setattr(dabf_module, "fit_best_distribution", counting_fit)
+        dabf = DABF.build(pool, bins=10, seed=0)
+        assert calls == []
+        first = dabf.fits()
+        assert calls == [10, 10]
+        for cdabf in dabf.per_class.values():
+            assert cdabf.distribution is not None
+            assert cdabf.all_fits
+        assert dabf.fits() == first
+        assert calls == [10, 10]
+
+    def test_unbuilt_class_reads_no_fit(self):
+        cdabf = ClassDABF(label=0)
+        assert cdabf.distribution is None
+        assert cdabf.all_fits == []
 
 
 class TestNaivePruner:
