@@ -12,8 +12,10 @@ test:
 
 # Robustness suite: retry/backoff/quorum/checkpoint + fault injection,
 # distributed-vs-serial discovery differential (every test_distributed*
-# file), data contracts & repairs, degenerate-input corpus, anytime
-# budgets — plus a live deadline-budget smoke through the CLI.
+# file), the crash-safety suite of every store's writes (test_io: failed
+# write steps, damaged files, stray temp files, SIGKILL'd writers), data
+# contracts & repairs, degenerate-input corpus, anytime budgets — plus a
+# live deadline-budget smoke through the CLI.
 verify-robustness:
 	PYTHONPATH=src $(PYTHON) -m pytest -q -m robustness tests/
 	PYTHONPATH=src $(PYTHON) -m repro run ItalyPowerDemand --method IPS \

@@ -38,7 +38,8 @@ from repro.campaign.scenarios import (
     scenario_names,
 )
 from repro.campaign.spec import CampaignCell, CampaignSpec, derive_cell_seed
-from repro.campaign.store import CAMPAIGN_FORMAT_VERSION, CellStore, sha256_bytes
+from repro.campaign.store import CAMPAIGN_FORMAT_VERSION, CellStore
+from repro.io import sha256_bytes
 
 __all__ = [
     "CAMPAIGN_FORMAT_VERSION",

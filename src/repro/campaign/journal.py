@@ -9,7 +9,8 @@ line: replay therefore
 * parses every complete line into a record,
 * moves any unparseable bytes (a torn tail from a killed process, or
   garbage from disk trouble) to a ``<journal>.quarantine`` sidecar,
-* atomically rewrites the journal to the surviving records, and
+* rewrites the journal to the surviving records with
+  :func:`repro.io.atomic_write`, and
 * emits a single :class:`RuntimeWarning` naming what was quarantined —
 
 so a resumed campaign starts from a clean, fully-parseable journal and
@@ -25,6 +26,7 @@ import warnings
 from pathlib import Path
 
 from repro.exceptions import JournalError
+from repro.io import atomic_write
 
 
 class Journal:
@@ -99,17 +101,13 @@ class Journal:
                     fh.write(line + b"\n")
                 fh.flush()
                 os.fsync(fh.fileno())
-            tmp = self.path.with_name(self.path.name + ".tmp")
-            with open(tmp, "wb") as fh:
-                for line in good_lines:
-                    fh.write(line + b"\n")
-                fh.flush()
-                os.fsync(fh.fileno())
-            os.replace(tmp, self.path)
         except OSError as exc:
             raise JournalError(
                 f"cannot quarantine corrupt journal lines at {self.path}: {exc}"
             ) from exc
+        atomic_write(
+            self.path, b"".join(line + b"\n" for line in good_lines), JournalError
+        )
         warnings.warn(
             f"journal {self.path} held {len(bad_lines)} unparseable line(s) "
             f"(torn tail from a killed run, or disk corruption); moved to "

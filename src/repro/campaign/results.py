@@ -29,7 +29,8 @@ import numpy as np
 
 from repro.benchlib.tables import collect_cell_rows, format_table
 from repro.campaign.spec import CampaignSpec
-from repro.campaign.store import CellStore, sha256_bytes
+from repro.exceptions import CampaignError
+from repro.io import atomic_write, sha256_bytes
 
 #: Frame columns, in order. All deterministic given the spec; timings
 #: are deliberately excluded so the digest is crash/resume-invariant.
@@ -219,7 +220,7 @@ def write_report(
     files = {}
     for name, text in outputs.items():
         payload = text.encode()
-        CellStore._atomic_write(report_dir / name, payload)
+        atomic_write(report_dir / name, payload, CampaignError)
         files[name] = sha256_bytes(payload)
     manifest = {
         "format_version": 1,
@@ -231,9 +232,10 @@ def write_report(
         "git_sha": git_sha(),
         "files": files,
     }
-    CellStore._atomic_write(
+    atomic_write(
         report_dir / "manifest.json",
         (json.dumps(manifest, indent=2, sort_keys=True) + "\n").encode(),
+        CampaignError,
     )
     return report_dir
 

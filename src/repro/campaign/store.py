@@ -8,42 +8,36 @@ Layout of a campaign directory::
         cells/
             <cell_id>.json       # one atomic, checksummed result per cell
 
-Cell files follow the artifact discipline of ``repro.serve.artifact``:
-writes are atomic (temp file + ``os.replace``), contents are
+Cell files are written with :func:`repro.io.atomic_write`, contents are
 deterministic (sorted keys), and every file's SHA-256 is recorded — in
 the journal's ``cell_finished`` event at write time, and again in the
-report manifest at collection time. Loading verifies the recorded
-digest; a mismatch (torn copy, bit rot, a file from a different run)
-quarantines the file and reports the cell as missing so the runner
-simply recomputes it — corruption costs one cell, never the campaign.
+report manifest at collection time. Cell files are evidence: loading
+verifies the recorded digest, and a mismatch (torn copy, bit rot, a file
+from a different run) renames the file aside with a warning and reports
+the cell as missing so the runner recomputes it — corruption costs one
+cell, never the campaign (docs/robustness.md, "Crash-safe writes").
 
-The campaign ``manifest.json`` plays the role of
-:meth:`repro.distributed.checkpoint.CheckpointStore.check_manifest`:
-resuming into a directory whose fingerprint differs raises
+The campaign ``manifest.json`` is a :func:`repro.io.check_manifest`
+fingerprint: resuming into a directory whose fingerprint differs raises
 :class:`repro.exceptions.CampaignError` instead of silently merging
 results computed under different settings.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 import warnings
 from pathlib import Path
 
 from repro.exceptions import CampaignError
+from repro.io import atomic_write, check_manifest, read_json, sha256_bytes
 
 #: Bumped whenever the cell-file layout changes incompatibly.
 CAMPAIGN_FORMAT_VERSION = 1
 
 _MANIFEST = "manifest.json"
 _CELLS = "cells"
-
-
-def sha256_bytes(payload: bytes) -> str:
-    """Hex SHA-256 of a byte string."""
-    return hashlib.sha256(payload).hexdigest()
 
 
 class CellStore:
@@ -63,24 +57,9 @@ class CellStore:
         to a campaign with a different spec, retry policy, or fault plan
         — results computed under different settings must never merge.
         """
-        path = self.campaign_dir / _MANIFEST
-        if path.exists():
-            try:
-                existing = json.loads(path.read_text())
-            except (OSError, json.JSONDecodeError) as exc:
-                raise CampaignError(
-                    f"unreadable campaign manifest at {path}: {exc}"
-                ) from exc
-            if existing != fingerprint:
-                raise CampaignError(
-                    f"campaign dir {self.campaign_dir} belongs to a "
-                    f"different campaign (manifest differs from the "
-                    f"requested spec/policy/fault plan); use a fresh "
-                    f"directory or resume with the original settings"
-                )
-            return
-        payload = (json.dumps(fingerprint, indent=2, sort_keys=True) + "\n").encode()
-        self._atomic_write(path, payload)
+        check_manifest(
+            self.campaign_dir / _MANIFEST, fingerprint, CampaignError, "campaign"
+        )
 
     def read_manifest(self) -> dict:
         """The stored fingerprint (typed error when absent/unreadable)."""
@@ -90,12 +69,7 @@ class CellStore:
                 f"{self.campaign_dir} has no campaign manifest; "
                 "was it created by `repro campaign run`?"
             )
-        try:
-            manifest = json.loads(path.read_text())
-        except (OSError, json.JSONDecodeError) as exc:
-            raise CampaignError(
-                f"unreadable campaign manifest at {path}: {exc}"
-            ) from exc
+        manifest = read_json(path, CampaignError)
         if not isinstance(manifest, dict):
             raise CampaignError(f"campaign manifest at {path} is not an object")
         return manifest
@@ -106,19 +80,13 @@ class CellStore:
         """Result-file path of one cell."""
         return self.cells_dir / f"{cell_id}.json"
 
-    @staticmethod
-    def _atomic_write(path: Path, payload: bytes) -> None:
-        tmp = path.with_name(path.name + ".tmp")
-        with open(tmp, "wb") as fh:
-            fh.write(payload)
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, path)
-
     def save_cell(self, cell_id: str, record: dict) -> str:
-        """Atomically persist one cell record; returns its SHA-256."""
+        """Atomically persist one cell record; returns its SHA-256.
+
+        Raises :class:`CampaignError` when the cell file cannot be written.
+        """
         payload = (json.dumps(record, indent=2, sort_keys=True) + "\n").encode()
-        self._atomic_write(self.cell_path(cell_id), payload)
+        atomic_write(self.cell_path(cell_id), payload, CampaignError)
         return sha256_bytes(payload)
 
     def load_cell(self, cell_id: str, expected_sha: str | None = None) -> dict | None:
@@ -166,4 +134,4 @@ class CellStore:
         return {path.stem for path in self.cells_dir.glob("*.json")}
 
 
-__all__ = ["CAMPAIGN_FORMAT_VERSION", "CellStore", "sha256_bytes"]
+__all__ = ["CAMPAIGN_FORMAT_VERSION", "CellStore"]

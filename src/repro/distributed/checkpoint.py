@@ -14,24 +14,25 @@ Layout::
 
 Unit keys embed the unit's derived seed, so any change to the master seed
 or sampling parameters changes every key and stale entries are simply
-never matched. The manifest is a second guard: resuming into a directory
-whose fingerprint differs raises :class:`repro.exceptions.CheckpointError`
-instead of silently merging incompatible pools. Writes are atomic
-(temp file + ``os.replace``), and unreadable entries are treated as
-missing rather than fatal — a half-written file from a killed run just
-gets recomputed.
+never matched. The manifest is a second guard (:func:`repro.io.check_manifest`):
+resuming into a directory whose fingerprint differs raises
+:class:`repro.exceptions.CheckpointError` instead of silently merging
+incompatible pools. Writes follow :func:`repro.io.atomic_write`; the
+store is a cache, so an unreadable entry is deleted and recomputed
+rather than fatal (docs/robustness.md, "Crash-safe writes").
 """
 
 from __future__ import annotations
 
+import io
 import json
-import os
 from pathlib import Path
 
 import numpy as np
 
 from repro.distributed.executor import WorkUnit
 from repro.exceptions import CheckpointError
+from repro.io import atomic_write, check_manifest
 from repro.types import Candidate, CandidateKind
 
 _MANIFEST = "manifest.json"
@@ -60,24 +61,7 @@ class CheckpointStore:
         Raises :class:`CheckpointError` when the directory already holds a
         manifest for a different run (different seed/config/dataset).
         """
-        path = self.run_dir / _MANIFEST
-        if path.exists():
-            try:
-                existing = json.loads(path.read_text())
-            except (OSError, json.JSONDecodeError) as exc:
-                raise CheckpointError(
-                    f"unreadable checkpoint manifest at {path}: {exc}"
-                ) from exc
-            if existing != fingerprint:
-                raise CheckpointError(
-                    f"checkpoint dir {self.run_dir} belongs to a different "
-                    f"run (manifest {existing!r} != expected {fingerprint!r}); "
-                    "use a fresh directory or delete the stale one"
-                )
-            return
-        tmp = path.with_suffix(".tmp")
-        tmp.write_text(json.dumps(fingerprint, sort_keys=True))
-        os.replace(tmp, path)
+        check_manifest(self.run_dir / _MANIFEST, fingerprint, CheckpointError, "run")
 
     # -- unit results -----------------------------------------------------
 
@@ -93,7 +77,10 @@ class CheckpointStore:
         }
 
     def save(self, key: str, candidates: list[Candidate]) -> None:
-        """Atomically persist one unit's candidate list."""
+        """Atomically persist one unit's candidate list.
+
+        Raises :class:`CheckpointError` when the entry cannot be written.
+        """
         meta = [
             {
                 "label": candidate.label,
@@ -109,11 +96,9 @@ class CheckpointStore:
             for i, candidate in enumerate(candidates)
         }
         arrays["meta"] = np.array(json.dumps(meta))
-        path = self._unit_path(key)
-        tmp = path.with_name(path.name + ".tmp")
-        with open(tmp, "wb") as fh:
-            np.savez(fh, **arrays)
-        os.replace(tmp, path)
+        buffer = io.BytesIO()
+        np.savez(buffer, **arrays)
+        atomic_write(self._unit_path(key), buffer.getvalue(), CheckpointError)
 
     def load(self, key: str) -> list[Candidate] | None:
         """Restore one unit's candidates, or ``None`` if absent/corrupt.

@@ -180,11 +180,6 @@ class ClassDABF:
         """
         return abs(self.query_zscore(values)) <= theta
 
-    def bucket_rank(self, values: np.ndarray) -> int:
-        """Ranked-bucket index of a query (the ``B_i`` of Formula 15)."""
-        table, routed = self._route(values)
-        return table.table.bucket_rank_of(routed)
-
     def bucket_ranks_batch(self, rows: np.ndarray) -> np.ndarray:
         """Ranked-bucket indices for many equal-length queries at once.
 
@@ -309,12 +304,6 @@ class DABF:
             report.kept_per_class[label] = len(pool.all_of_class(label)) - removed
         report.elapsed_seconds = time.perf_counter() - start
         return pruned, report
-
-    def bucket_rank(self, label: int, values: np.ndarray) -> int:
-        """Ranked-bucket index of ``values`` in class ``label``'s table."""
-        if label not in self.per_class:
-            raise ValidationError(f"no DABF for class {label}")
-        return self.per_class[label].bucket_rank(values)
 
 
 class NaivePruner:

@@ -8,17 +8,13 @@ by construction — every process starts cold. Pointing runs at the same
 store directory makes repeated discovery over the same dataset skip the
 forward FFTs entirely.
 
-Storage format (the ``repro.serve`` artifact discipline):
-
-* one entry = two files, ``<key>.npy`` (the complex spectrum, ``np.save``
-  format) and ``<key>.json`` (a sidecar with the payload's SHA-256
-  checksum plus the shape/dtype/FFT-size metadata);
-* every write is atomic — temp file in the same directory, then
-  ``os.replace`` — so a crashed writer can never leave a torn entry
-  behind under the final name;
-* every read verifies the sidecar checksum before trusting the payload;
-  a corrupt or torn entry is quarantined (best-effort unlink) and
-  treated as a miss, never served.
+Storage format: one entry = two files, ``<key>.npy`` (the complex
+spectrum, ``np.save`` format) and ``<key>.json`` (a sidecar with the
+payload's SHA-256 checksum plus the shape/dtype/FFT-size metadata).
+Writes follow :func:`repro.io.atomic_write`, payload before sidecar. The
+store is a cache: a read that fails its checksum unlinks the entry and
+reports a miss, so it is recomputed, never served (docs/robustness.md,
+"Crash-safe writes").
 
 Invalidation is content-addressed: the key is a SHA-256 over the series'
 raw bytes, its shape, the FFT size, the compute dtype, and the scipy
@@ -30,10 +26,8 @@ grows (entries are only ever re-created identically).
 
 from __future__ import annotations
 
-import hashlib
 import io
 import json
-import os
 import time
 from pathlib import Path
 
@@ -41,6 +35,7 @@ import numpy as np
 import scipy
 
 from repro.exceptions import SpectraStoreError
+from repro.io import atomic_write, sha256_bytes
 
 #: Bumped whenever the entry layout changes incompatibly; part of the key,
 #: so old-format entries simply become unreachable.
@@ -50,11 +45,11 @@ STORE_FORMAT_VERSION = 1
 def content_digest(array: np.ndarray) -> str:
     """SHA-256 of an array's raw bytes (C-order), its shape and dtype."""
     contiguous = np.ascontiguousarray(array)
-    digest = hashlib.sha256()
-    digest.update(str(contiguous.shape).encode())
-    digest.update(contiguous.dtype.str.encode())
-    digest.update(contiguous.tobytes())
-    return digest.hexdigest()
+    return sha256_bytes(
+        str(contiguous.shape).encode()
+        + contiguous.dtype.str.encode()
+        + contiguous.tobytes()
+    )
 
 
 def spectrum_key(array_digest: str, n_fft: int, dtype: np.dtype) -> str:
@@ -68,14 +63,7 @@ def spectrum_key(array_digest: str, n_fft: int, dtype: np.dtype) -> str:
             scipy.__version__,
         )
     )
-    return hashlib.sha256(material.encode()).hexdigest()
-
-
-def _atomic_write_bytes(path: Path, payload: bytes) -> None:
-    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
-    with open(tmp, "wb") as fh:
-        fh.write(payload)
-    os.replace(tmp, path)
+    return sha256_bytes(material.encode())
 
 
 class SpectraStore:
@@ -92,8 +80,8 @@ class SpectraStore:
     :class:`~repro.kernels.PerfCounters` of the calling
     :class:`~repro.kernels.SeriesCache`, which is the only intended
     caller. Concurrent writers are safe: entries are content-addressed,
-    so two processes racing on the same key write identical bytes and
-    ``os.replace`` makes whichever lands last a no-op.
+    so two processes racing on the same key write identical payloads and
+    whichever rename lands last is a no-op.
     """
 
     def __init__(self, directory: str | Path) -> None:
@@ -133,7 +121,7 @@ class SpectraStore:
         except (OSError, json.JSONDecodeError, UnicodeDecodeError):
             return None
         expected = sidecar.get("sha256") if isinstance(sidecar, dict) else None
-        if expected != hashlib.sha256(payload).hexdigest():
+        if expected != sha256_bytes(payload):
             self._quarantine(key)
             return None
         try:
@@ -147,23 +135,25 @@ class SpectraStore:
         """Persist one spectrum atomically (payload first, then sidecar).
 
         Ordering matters for crash safety: a reader only trusts a payload
-        its sidecar vouches for, so the sidecar lands last.
+        its sidecar vouches for, so the sidecar lands last. Raises
+        :class:`SpectraStoreError` when the store cannot be written.
         """
         payload_path, sidecar_path = self._paths(key)
         buffer = io.BytesIO()
         np.save(buffer, spectrum, allow_pickle=False)
         payload = buffer.getvalue()
-        _atomic_write_bytes(payload_path, payload)
         sidecar = {
-            "sha256": hashlib.sha256(payload).hexdigest(),
+            "sha256": sha256_bytes(payload),
             "shape": list(spectrum.shape),
             "dtype": spectrum.dtype.str,
             "scipy": scipy.__version__,
             "created_at": time.strftime("%Y-%m-%dT%H:%M:%S"),
         }
-        _atomic_write_bytes(
+        atomic_write(payload_path, payload, SpectraStoreError)
+        atomic_write(
             sidecar_path,
             (json.dumps(sidecar, sort_keys=True) + "\n").encode(),
+            SpectraStoreError,
         )
 
 

@@ -12,12 +12,12 @@ its manifest alone.
 from __future__ import annotations
 
 import dataclasses
-import hashlib
 import platform
 import time
 from pathlib import Path
 
 from repro._version import __version__
+from repro.io import sha256_bytes
 
 
 #: Manifest value when no commit SHA can be determined. A constant (not
@@ -84,16 +84,14 @@ def dataset_fingerprint(dataset) -> dict:
     original class values, so any change to the training data changes
     the fingerprint.
     """
-    digest = hashlib.sha256()
-    digest.update(dataset.X.tobytes())
-    digest.update(dataset.y.tobytes())
-    digest.update(dataset.classes_.tobytes())
     return {
         "name": dataset.name,
         "n_series": dataset.n_series,
         "series_length": dataset.series_length,
         "n_classes": dataset.n_classes,
-        "sha256": digest.hexdigest(),
+        "sha256": sha256_bytes(
+            dataset.X.tobytes() + dataset.y.tobytes() + dataset.classes_.tobytes()
+        ),
     }
 
 

@@ -21,18 +21,15 @@ vouch for:
 
 The checksum table guards against *corruption* (torn writes, bit rot,
 truncated copies), not against a malicious artifact author: the payload
-is a pickle, so only load artifacts you produced. Writes are atomic
-(temp file + ``os.replace``), matching the checkpoint store's crash
-discipline.
+is a pickle, so only load artifacts you produced. Writes follow
+:func:`repro.io.atomic_write` (docs/robustness.md, "Crash-safe writes").
 """
 
 from __future__ import annotations
 
 import copy
 import dataclasses
-import hashlib
 import json
-import os
 import pickle
 import time
 from pathlib import Path
@@ -43,6 +40,7 @@ from repro.exceptions import (
     ArtifactVersionError,
     NotFittedError,
 )
+from repro.io import atomic_write, read_json, sha256_bytes, sha256_file
 from repro.obs.manifest import dataset_fingerprint, git_sha, package_versions
 
 #: Bumped whenever the payload layout changes incompatibly.
@@ -50,21 +48,6 @@ ARTIFACT_FORMAT_VERSION = 1
 
 _MANIFEST = "manifest.json"
 _MODEL = "model.bin"
-
-
-def _sha256_file(path: Path) -> str:
-    digest = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 20), b""):
-            digest.update(chunk)
-    return digest.hexdigest()
-
-
-def _atomic_write_bytes(path: Path, payload: bytes) -> None:
-    tmp = path.with_name(path.name + ".tmp")
-    with open(tmp, "wb") as fh:
-        fh.write(payload)
-    os.replace(tmp, path)
 
 
 def _frozen_copy(classifier):
@@ -105,8 +88,7 @@ def save_artifact(classifier, artifact_dir: str | Path) -> Path:
     artifact_dir.mkdir(parents=True, exist_ok=True)
 
     payload = pickle.dumps(_frozen_copy(classifier), protocol=4)
-    model_path = artifact_dir / _MODEL
-    _atomic_write_bytes(model_path, payload)
+    atomic_write(artifact_dir / _MODEL, payload, ArtifactError)
 
     from repro.obs.trace import jsonify
 
@@ -126,11 +108,12 @@ def save_artifact(classifier, artifact_dir: str | Path) -> Path:
             "classes": [int(c) for c in dataset.classes_],
             "final_classifier": classifier.config.final_classifier,
         },
-        "files": {_MODEL: _sha256_file(model_path)},
+        "files": {_MODEL: sha256_bytes(payload)},
     }
-    _atomic_write_bytes(
+    atomic_write(
         artifact_dir / _MANIFEST,
         (json.dumps(manifest, indent=2, sort_keys=True) + "\n").encode(),
+        ArtifactError,
     )
     return artifact_dir
 
@@ -143,12 +126,7 @@ def read_manifest(artifact_dir: str | Path) -> dict:
         raise ArtifactError(f"artifact directory {artifact_dir} does not exist")
     if not path.exists():
         raise ArtifactError(f"artifact at {artifact_dir} has no {_MANIFEST}")
-    try:
-        manifest = json.loads(path.read_text())
-    except (OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:
-        raise ArtifactIntegrityError(
-            f"unreadable artifact manifest at {path}: {exc}"
-        ) from exc
+    manifest = read_json(path, ArtifactIntegrityError)
     if not isinstance(manifest, dict) or "files" not in manifest:
         raise ArtifactIntegrityError(
             f"artifact manifest at {path} is missing its checksum table"
@@ -171,7 +149,7 @@ def verify_checksums(artifact_dir: str | Path, manifest: dict) -> None:
             raise ArtifactIntegrityError(
                 f"artifact file {name} listed in the manifest is missing"
             )
-        actual = _sha256_file(path)
+        actual = sha256_file(path)
         if actual != expected:
             raise ArtifactIntegrityError(
                 f"artifact file {name} failed its checksum "

@@ -56,7 +56,7 @@ def pytest_collection_modifyitems(items):
             item.add_marker(pytest.mark.streaming)
         if item.fspath.basename.startswith(("test_obs", "test_telemetry")):
             item.add_marker(pytest.mark.obs)
-        if item.fspath.basename.startswith("test_distributed"):
+        if item.fspath.basename.startswith(("test_distributed", "test_io")):
             item.add_marker(pytest.mark.robustness)
 
 

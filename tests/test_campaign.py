@@ -196,16 +196,6 @@ class TestCellStore:
         assert store.load_cell("a__b__c") == record
         assert store.cell_ids() == {"a__b__c"}
 
-    def test_checksum_mismatch_quarantines(self, tmp_path):
-        store = CellStore(tmp_path)
-        sha = store.save_cell("a__b__c", {"payload": {}})
-        path = store.cell_path("a__b__c")
-        path.write_text(path.read_text().replace("payload", "pay1oad"))
-        with pytest.warns(RuntimeWarning, match="unusable"):
-            assert store.load_cell("a__b__c", expected_sha=sha) is None
-        assert not path.exists()  # moved aside
-        assert path.with_name(path.name + ".quarantine").exists()
-
     def test_unparseable_cell_quarantines(self, tmp_path):
         store = CellStore(tmp_path)
         store.cell_path("x__y__z").write_bytes(b"{nope")

@@ -365,14 +365,6 @@ class TestCheckpointStore:
     def test_missing_returns_none(self, tmp_path):
         assert CheckpointStore(tmp_path).load("nope") is None
 
-    def test_corrupt_entry_treated_as_missing(self, tmp_path):
-        store = CheckpointStore(tmp_path)
-        store.save("abc", [make_candidate()])
-        path = tmp_path / "unit_abc.npz"
-        path.write_bytes(b"not an npz file")
-        assert store.load("abc") is None
-        assert not path.exists()  # cleaned up for recompute
-
     def test_manifest_guards_run_identity(self, tmp_path):
         store = CheckpointStore(tmp_path)
         store.check_manifest({"seed": 0, "q_n": 6})

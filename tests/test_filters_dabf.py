@@ -69,9 +69,19 @@ class TestClassDABF:
         _dataset, pool = planted_pool
         cdabf = ClassDABF(label=0, seed=0)
         cdabf.build(pool.all_of_class(0))
-        for cand in pool.motifs(0)[:5]:
-            rank = cdabf.bucket_rank(cand.values)
-            assert rank >= 0
+        for length in (12, 15):  # 15 routes to the nearest table
+            rows = np.random.default_rng(0).normal(size=(5, length))
+            ranks = cdabf.bucket_ranks_batch(rows)
+            assert ranks.shape == (5,)
+            assert (ranks >= 0).all()
+            assert (ranks <= cdabf.rank_denominator(length) + 1).all()
+
+    def test_bucket_ranks_batch_rejects_one_row(self, planted_pool):
+        _dataset, pool = planted_pool
+        cdabf = ClassDABF(label=0, seed=0)
+        cdabf.build(pool.all_of_class(0))
+        with pytest.raises(ValidationError, match="2-D"):
+            cdabf.bucket_ranks_batch(np.zeros(12))
 
     def test_empty_class_rejected(self):
         with pytest.raises(ValidationError):
@@ -107,12 +117,6 @@ class TestDABF:
         _p1, strict = dabf.prune(pool, theta=1.0)
         _p2, loose = dabf.prune(pool, theta=6.0)
         assert loose.n_removed >= strict.n_removed
-
-    def test_bucket_rank_unknown_class_rejected(self, planted_pool):
-        _dataset, pool = planted_pool
-        dabf = DABF.build(pool, seed=0)
-        with pytest.raises(ValidationError):
-            dabf.bucket_rank(99, np.zeros(12))
 
     def test_empty_dabf_rejected(self):
         with pytest.raises(ValidationError):

@@ -292,15 +292,6 @@ class TestSpectraStore:
     def test_missing_key_is_none(self, tmp_path):
         assert SpectraStore(tmp_path).load("0" * 64) is None
 
-    def test_corrupt_payload_quarantined(self, tmp_path):
-        store = SpectraStore(tmp_path)
-        key = "a" * 64
-        store.save(key, np.fft.rfft(np.arange(16.0)))
-        payload_path, sidecar_path = store._paths(key)
-        payload_path.write_bytes(b"garbage")
-        assert store.load(key) is None  # checksum mismatch -> miss
-        assert not payload_path.exists() and not sidecar_path.exists()
-
     def test_torn_sidecar_is_a_miss(self, tmp_path):
         store = SpectraStore(tmp_path)
         key = "b" * 64

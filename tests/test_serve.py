@@ -41,6 +41,7 @@ from repro.exceptions import (
     ServiceClosedError,
     ValidationError,
 )
+from repro.io import sha256_file
 from repro.serve import (
     ARTIFACT_FORMAT_VERSION,
     AdmissionQueue,
@@ -52,7 +53,6 @@ from repro.serve import (
     read_manifest,
     save_artifact,
 )
-from repro.serve.artifact import _sha256_file
 from repro.serve.breaker import CLOSED, HALF_OPEN, OPEN
 
 pytestmark = pytest.mark.robustness
@@ -184,7 +184,7 @@ class TestArtifacts:
         rewrite_manifest(
             tmp_path / "garbage",
             tmp_path / "garbage2",
-            files={"model.bin": _sha256_file(model)},
+            files={"model.bin": sha256_file(model)},
         )
         with pytest.raises(ArtifactIntegrityError, match="failed to load"):
             load_artifact(tmp_path / "garbage2")
@@ -196,7 +196,7 @@ class TestArtifacts:
         rewrite_manifest(
             tmp_path / "dict",
             tmp_path / "dict2",
-            files={"model.bin": _sha256_file(model)},
+            files={"model.bin": sha256_file(model)},
         )
         with pytest.raises(ArtifactIntegrityError, match="not an IPSClassifier"):
             load_artifact(tmp_path / "dict2")
