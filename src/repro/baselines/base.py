@@ -8,7 +8,6 @@ isolate the *discovery* quality, exactly the comparison the paper makes.
 
 from __future__ import annotations
 
-import time
 from abc import ABC, abstractmethod
 
 import numpy as np
@@ -18,6 +17,7 @@ from repro.classify.svm import OneVsRestSVM
 from repro.core.transform import ShapeletTransform
 from repro.exceptions import NotFittedError
 from repro.kernels import PerfCounters
+from repro.obs import NULL_TRACER
 from repro.ts.series import Dataset
 from repro.types import ParamsMixin, Shapelet
 
@@ -44,9 +44,9 @@ class ShapeletTransformClassifier(ParamsMixin, ABC):
         #: Live counters a subclass's ``discover`` can report kernel-cache
         #: work into (``SeriesCache(counters=self.perf_counters_)``).
         self.perf_counters_: PerfCounters = PerfCounters()
-        #: Snapshot of :attr:`perf_counters_` taken at the end of
-        #: ``fit_dataset`` — the baseline analogue of
-        #: ``DiscoveryResult.extra["perf"]``.
+        #: Snapshot of :attr:`perf_counters_` plus the discovery, transform
+        #: and classify stage times, taken at the end of ``fit_dataset`` —
+        #: the baseline analogue of ``DiscoveryResult.extra["perf"]``.
         self.perf_: dict | None = None
         self._transform: ShapeletTransform | None = None
         self._scaler: StandardScaler | None = None
@@ -60,22 +60,22 @@ class ShapeletTransformClassifier(ParamsMixin, ABC):
     def fit_dataset(self, dataset: Dataset) -> "ShapeletTransformClassifier":
         """Discover, then fit the shared transform + SVM stack."""
         counters = self.perf_counters_ = PerfCounters()
-        start = time.perf_counter()
-        with counters.phase("discovery"):
+        times: dict[str, float] = {}
+        with NULL_TRACER.stage("discovery", times):
             shapelets = self.discover(dataset)
-        self.discovery_seconds_ = time.perf_counter() - start
+        self.discovery_seconds_ = times["discovery"]
         self.shapelets_ = shapelets
         self._dataset = dataset
         self._transform = ShapeletTransform(shapelets)
         self._scaler = StandardScaler()
-        with counters.phase("transform"):
+        with NULL_TRACER.stage("transform", times):
             features = self._scaler.fit_transform(
                 self._transform.transform(dataset.X)
             )
         self._svm = OneVsRestSVM(C=self.svm_c, seed=self.seed)
-        with counters.phase("classify"):
+        with NULL_TRACER.stage("classify", times):
             self._svm.fit(features, dataset.y)
-        self.perf_ = counters.snapshot()
+        self.perf_ = {**counters.snapshot(), "phase_seconds": times}
         return self
 
     def fit(self, X: np.ndarray, y: np.ndarray) -> "ShapeletTransformClassifier":

@@ -18,12 +18,11 @@ subclassing the shared transform stack.
 
 from __future__ import annotations
 
-import time
-
 import numpy as np
 
 from repro.classify.kmeans import KMeans
 from repro.exceptions import NotFittedError, ValidationError
+from repro.obs import NULL_TRACER
 from repro.ts.series import Dataset
 from repro.types import ParamsMixin, Shapelet
 
@@ -116,40 +115,41 @@ class LearningShapelets(ParamsMixin):
 
     def fit_dataset(self, dataset: Dataset) -> "LearningShapelets":
         """Jointly learn shapelets and the logistic head."""
-        start_time = time.perf_counter()
-        rng = np.random.default_rng(self.seed)
-        length = max(4, int(round(self.length_ratio * dataset.series_length)))
-        length = min(length, dataset.series_length)
-        self._dataset = dataset
-        self._S = self._init_shapelets(dataset, length, rng)
-        n_classes = dataset.n_classes
-        n_shp = self._S.shape[0]
-        self._W = 0.01 * rng.standard_normal((n_classes, n_shp))
-        self._b = np.zeros(n_classes)
-        X, y = dataset.X, dataset.y
-        n = X.shape[0]
-        Y = np.zeros((n, n_classes))
-        Y[np.arange(n), y] = 1.0
-        L = self._S.shape[1]
-        windows = np.lib.stride_tricks.sliding_window_view(X, L, axis=1)
-        for _epoch in range(self.epochs):
-            M, _D, weights = self._features_and_weights(X)
-            logits = M @ self._W.T + self._b
-            P = _softmax_rows(logits)
-            G = (P - Y) / n  # (n, n_classes)
-            grad_W = G.T @ M + self.l2 * self._W
-            grad_b = G.sum(axis=0)
-            # dL/dM: (n, n_shp)
-            dM = G @ self._W
-            # dM/dS via softmin weights: dD_w/dS_k = (2/L)(S_k - window_w)
-            coeff = dM[:, :, None] * weights  # (n, n_shp, W)
-            sum_coeff = coeff.sum(axis=(0, 2))  # (n_shp,)
-            weighted_windows = np.einsum("nkw,nwl->kl", coeff, windows)
-            grad_S = (2.0 / L) * (sum_coeff[:, None] * self._S - weighted_windows)
-            self._W -= self.lr * grad_W
-            self._b -= self.lr * grad_b
-            self._S -= self.lr * grad_S
-        self.discovery_seconds_ = time.perf_counter() - start_time
+        times: dict[str, float] = {}
+        with NULL_TRACER.stage("discovery", times):
+            rng = np.random.default_rng(self.seed)
+            length = max(4, int(round(self.length_ratio * dataset.series_length)))
+            length = min(length, dataset.series_length)
+            self._dataset = dataset
+            self._S = self._init_shapelets(dataset, length, rng)
+            n_classes = dataset.n_classes
+            n_shp = self._S.shape[0]
+            self._W = 0.01 * rng.standard_normal((n_classes, n_shp))
+            self._b = np.zeros(n_classes)
+            X, y = dataset.X, dataset.y
+            n = X.shape[0]
+            Y = np.zeros((n, n_classes))
+            Y[np.arange(n), y] = 1.0
+            L = self._S.shape[1]
+            windows = np.lib.stride_tricks.sliding_window_view(X, L, axis=1)
+            for _epoch in range(self.epochs):
+                M, _D, weights = self._features_and_weights(X)
+                logits = M @ self._W.T + self._b
+                P = _softmax_rows(logits)
+                G = (P - Y) / n  # (n, n_classes)
+                grad_W = G.T @ M + self.l2 * self._W
+                grad_b = G.sum(axis=0)
+                # dL/dM: (n, n_shp)
+                dM = G @ self._W
+                # dM/dS via softmin weights: dD_w/dS_k = (2/L)(S_k - window_w)
+                coeff = dM[:, :, None] * weights  # (n, n_shp, W)
+                sum_coeff = coeff.sum(axis=(0, 2))  # (n_shp,)
+                weighted_windows = np.einsum("nkw,nwl->kl", coeff, windows)
+                grad_S = (2.0 / L) * (sum_coeff[:, None] * self._S - weighted_windows)
+                self._W -= self.lr * grad_W
+                self._b -= self.lr * grad_b
+                self._S -= self.lr * grad_S
+        self.discovery_seconds_ = times["discovery"]
         self.shapelets_ = [
             Shapelet(values=self._S[i].copy(), label=int(i // self.k_per_class) % n_classes)
             for i in range(n_shp)

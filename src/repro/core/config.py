@@ -175,8 +175,8 @@ class IPSConfig:
     observability:
         How much the run observes itself (:mod:`repro.obs`): ``"off"``
         (no counters, no trace — the no-op singletons ride the hot
-        paths), ``"counters"`` (default: kernel perf counters only,
-        overhead gated at <=2% by ``make verify-obs``), ``"trace"``
+        paths), ``"counters"`` (default: kernel perf counters and stage
+        times, ``extra["perf"]``), ``"trace"``
         (adds the span tree, metrics registry, and run manifest at
         ``DiscoveryResult.extra["trace"]``), or ``"trace+jsonl"``
         (additionally streams the trace to ``obs_jsonl_path``). Never

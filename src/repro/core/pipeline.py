@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import time
 import warnings
 
 import numpy as np
@@ -25,13 +24,7 @@ from repro.filters.dabf import DABF, NaivePruner, PruneReport
 from repro.instanceprofile.candidates import CandidatePool, generate_candidates
 from repro.kernels import NULL_PERF_COUNTERS, PerfCounters, SeriesCache
 from repro.instanceprofile.sampling import resolve_lengths
-from repro.obs import (
-    DEFAULT_JSONL_PATH,
-    NULL_TRACER,
-    global_metrics,
-    make_tracer,
-    run_manifest,
-)
+from repro.obs import DEFAULT_JSONL_PATH, NULL_TRACER, make_tracer, run_manifest
 from repro.ts.series import Dataset
 from repro.types import DiscoveryResult, ParamsMixin, PredictorMixin, Shapelet
 
@@ -90,6 +83,16 @@ def score_with_class_fallback(scorer, pruned, pool, labels, tracer=NULL_TRACER) 
     return scores_by_class
 
 
+def _finish_trace(tracer, perf: dict | None, config: IPSConfig) -> None:
+    """Close a run's trace once, in the code that made the tracer: record
+    the final ``extra["perf"]`` in its metrics and write the JSONL sink."""
+    if not tracer.active:
+        return
+    tracer.metrics.absorb_perf(perf)
+    if tracer.mode == "trace+jsonl":
+        tracer.to_jsonl(config.obs_jsonl_path or DEFAULT_JSONL_PATH)
+
+
 class IPS:
     """Shapelet discovery with the instance profile (the paper's method).
 
@@ -109,9 +112,6 @@ class IPS:
         self.kernel_cache_: SeriesCache | None = None
         #: Trace of the last run (``None`` unless tracing was active).
         self.trace_ = None
-        # A tracer pre-seeded by IPSClassifier so the validation span and
-        # the discovery spans share one trace.
-        self._pending_tracer = None
 
     def _generate(
         self, dataset: Dataset, lengths, tracker, tracer, counters, gen_span
@@ -121,7 +121,7 @@ class IPS:
         The one stage a subclass swaps (see
         :class:`repro.distributed.DistributedIPS`); pruning and selection
         in :meth:`discover` are shared. Runs inside the ``generation``
-        span (``gen_span``) and counters phase.
+        stage, whose span is ``gen_span``.
         """
         config = self.config
         pool = generate_candidates(
@@ -153,13 +153,17 @@ class IPS:
         deadline tight enough to expire within the first round cuts at
         the guaranteed one-round minimum.
         """
+        tracer = make_tracer(self.config.observability)
+        result = self._discover(dataset, tracer, {})
+        _finish_trace(tracer, result.extra.get("perf"), self.config)
+        return result
+
+    def _discover(self, dataset: Dataset, tracer, times: dict) -> DiscoveryResult:
+        """:meth:`discover` on the caller's tracer, adding the stage times
+        into ``times``; the caller finishes the trace."""
         config = self.config
         lengths = resolve_lengths(dataset.series_length, config.length_ratios)
         tracker = config.budget.start() if config.budget is not None else None
-        tracer = self._pending_tracer
-        self._pending_tracer = None
-        if tracer is None:
-            tracer = make_tracer(config.observability)
         self.trace_ = tracer if tracer.active else None
         if tracer.active:
             tracer.manifest = run_manifest(config, dataset)
@@ -190,16 +194,14 @@ class IPS:
             k=config.k,
             seed=config.seed,
         ):
-            start = time.perf_counter()
-            with tracer.span(
-                "generation", q_n=config.q_n, q_s=config.q_s, lengths=lengths
-            ) as gen_span, counters.phase("generation"):
+            with tracer.stage(
+                "generation", times, q_n=config.q_n, q_s=config.q_s, lengths=lengths
+            ) as gen_span:
                 pool, gen_extra = self._generate(
                     dataset, lengths, tracker, tracer, counters, gen_span
                 )
                 gen_span.set(n_candidates=len(pool))
                 tracer.count("candidates.generated", len(pool))
-            time_generation = time.perf_counter() - start
             self.pool_ = pool
 
             multi_class = dataset.n_classes > 1
@@ -210,9 +212,8 @@ class IPS:
                     phase="generation",
                     reason=tracker.check(),
                 )
-            start = time.perf_counter()
             dabf: DABF | None = None
-            with tracer.span("pruning") as prune_span, counters.phase("pruning"):
+            with tracer.stage("pruning", times) as prune_span:
                 if out_of_budget:
                     # Pruning is an optimization, not a correctness stage:
                     # skip it to leave the remaining budget to selection.
@@ -248,7 +249,6 @@ class IPS:
                     n_removed=report.n_removed, n_kept=len(pruned)
                 )
                 tracer.count("candidates.pruned", report.n_removed)
-            time_pruning = time.perf_counter() - start
             self.pruned_pool_ = pruned
             self.prune_report_ = report
             if tracker is not None:
@@ -262,19 +262,7 @@ class IPS:
                         reason=tracker.check(),
                     )
 
-            start = time.perf_counter()
             use_dt = config.use_dt_cr and not out_of_budget
-            if use_dt and dabf is None:
-                # DT needs the bucket tables even when DABF pruning is off.
-                with tracer.span("dabf.build", reason="dt-tables"):
-                    dabf = DABF.build(
-                        pool,
-                        scheme=config.lsh_scheme,
-                        n_projections=config.n_projections,
-                        bins=config.bins,
-                        seed=config.seed,
-                    )
-            self.dabf_ = dabf
             shared_cache = _PairDistanceCache(series_cache=run_cache)
 
             def _score(active_pool: CandidatePool, label: int) -> UtilityScores:
@@ -300,14 +288,22 @@ class IPS:
                     ),
                 )
 
-            with tracer.span("selection", dt_used=use_dt), counters.phase(
-                "selection"
-            ):
+            with tracer.stage("selection", times, dt_used=use_dt):
+                if use_dt and dabf is None:
+                    # DT needs the bucket tables even when DABF pruning is off.
+                    with tracer.span("dabf.build", reason="dt-tables"):
+                        dabf = DABF.build(
+                            pool,
+                            scheme=config.lsh_scheme,
+                            n_projections=config.n_projections,
+                            bins=config.bins,
+                            seed=config.seed,
+                        )
                 scores_by_class = score_with_class_fallback(
                     _score, pruned, pool, range(dataset.n_classes), tracer=tracer
                 )
                 shapelets = select_top_k_per_class(scores_by_class, config.k)
-            time_selection = time.perf_counter() - start
+            self.dabf_ = dabf
 
         extra = {
             "lengths": lengths,
@@ -319,11 +315,7 @@ class IPS:
             **gen_extra,
         }
         if counters.enabled:
-            perf = counters.snapshot()
-            extra["perf"] = perf
-            global_metrics().accumulate_perf(perf)
-            if tracer.active:
-                tracer.metrics.absorb_perf(perf)
+            extra["perf"] = {**counters.snapshot(), "phase_seconds": dict(times)}
         completed = not gen_extra.get("interrupted", False)
         if tracker is not None:
             tracker.record_phase(
@@ -342,15 +334,13 @@ class IPS:
             extra["budget"] = tracker.snapshot()
         if tracer.active:
             extra["trace"] = tracer
-            if tracer.mode == "trace+jsonl":
-                tracer.to_jsonl(config.obs_jsonl_path or DEFAULT_JSONL_PATH)
         return DiscoveryResult(
             shapelets=shapelets,
             n_candidates_generated=len(pool),
             n_candidates_after_pruning=len(pruned),
-            time_candidate_generation=time_generation,
-            time_pruning=time_pruning,
-            time_selection=time_selection,
+            time_candidate_generation=times["generation"],
+            time_pruning=times["pruning"],
+            time_selection=times["selection"],
             completed=completed,
             extra=extra,
         )
@@ -425,42 +415,8 @@ class IPSClassifier(ParamsMixin):
         self._scaler: StandardScaler | None = None
         self._svm: OneVsRestSVM | None = None
         self._dataset: Dataset | None = None
-        self._tracer = None
 
-    def _validate(self, X, y, name: str = "", tracer=NULL_TRACER):
-        """Route training input through the data contracts."""
-        from repro.validation import validate_dataset
-
-        with tracer.span("validation", mode=self.config.validation_mode) as span:
-            validated = validate_dataset(
-                X,
-                y,
-                mode=self.config.validation_mode,
-                min_class_size=self.config.min_class_size,
-                name=name,
-            )
-            report = validated.report
-            span.set(
-                n_findings=len(getattr(report, "findings", []) or []),
-                n_repairs=len(getattr(report, "repairs", []) or []),
-            )
-            tracer.count(
-                "validation.repairs",
-                len(getattr(report, "repairs", []) or []),
-            )
-        return validated
-
-    def _begin_trace(self):
-        """One tracer per fit, shared by validation and discovery."""
-        tracer = self._tracer
-        if tracer is None:
-            tracer = make_tracer(self.config.observability)
-            self._tracer = tracer
-        return tracer
-
-    def fit_dataset(
-        self, dataset: Dataset, _validation_report=None
-    ) -> "IPSClassifier":
+    def fit_dataset(self, dataset: Dataset) -> "IPSClassifier":
         """Fit on an already-constructed :class:`Dataset`.
 
         Unless ``config.validation_mode == "off"``, the dataset is first
@@ -468,52 +424,7 @@ class IPSClassifier(ParamsMixin):
         the resulting report is attached to
         ``discovery_result_.extra["validation_report"]``.
         """
-        tracer = self._begin_trace()
-        validation_report = _validation_report
-        if validation_report is None and self.config.validation_mode != "off":
-            validated = self._validate(dataset, None, tracer=tracer)
-            dataset = validated.dataset
-            validation_report = validated.report
-        self.discoverer_._pending_tracer = tracer
-        result = self.discoverer_.discover(dataset)
-        result.extra["validation_report"] = validation_report
-        self.discovery_result_ = result
-        self.shapelets_ = result.shapelets
-        self._dataset = dataset
-        # Share the discovery run's series cache with the transform, so
-        # the training series' FFT spectra and window statistics computed
-        # during utility scoring are reused here instead of redone.
-        counters = self.discoverer_.perf_counters_
-        counting = counters.enabled
-        transform_cache = self.discoverer_.kernel_cache_
-        if transform_cache is None:
-            transform_cache = SeriesCache(counters=counters)
-        self._transform = ShapeletTransform(
-            result.shapelets, cache=transform_cache
-        )
-        with tracer.span("transform", n_shapelets=len(result.shapelets)):
-            if counting:
-                with counters.phase("transform"):
-                    features = self._transform.transform(dataset.X)
-                result.extra["perf"] = counters.snapshot()
-            else:
-                features = self._transform.transform(dataset.X)
-        with tracer.span("classify", classifier=self.config.final_classifier):
-            self._scaler = StandardScaler()
-            scaled = self._scaler.fit_transform(features)
-            self._svm = _make_final_classifier(self.config)
-            self._svm.fit(scaled, dataset.y)
-        if tracer.active:
-            if counting:
-                # Idempotent re-absorb so metrics include the transform
-                # phase (replace semantics; span counters untouched).
-                tracer.metrics.absorb_perf(counters.snapshot())
-            if tracer.mode == "trace+jsonl":
-                tracer.to_jsonl(
-                    self.config.obs_jsonl_path or DEFAULT_JSONL_PATH
-                )
-        self._tracer = None
-        return self
+        return self._fit(dataset)
 
     def fit(self, X: np.ndarray, y: np.ndarray) -> "IPSClassifier":
         """Fit on raw arrays.
@@ -524,11 +435,65 @@ class IPSClassifier(ParamsMixin):
         constructor's blanket rejection.
         """
         if self.config.validation_mode == "off":
-            return self.fit_dataset(Dataset(X=X, y=y))
-        validated = self._validate(X, y, tracer=self._begin_trace())
-        return self.fit_dataset(
-            validated.dataset, _validation_report=validated.report
+            return self._fit(Dataset(X=X, y=y))
+        return self._fit(X, y)
+
+    def _fit(self, X, y=None) -> "IPSClassifier":
+        """Validate, discover, transform and classify: one tracer and one
+        stage clock (``times``) per fit, and the trace finished here."""
+        from repro.validation import validate_dataset
+
+        config = self.config
+        tracer = make_tracer(config.observability)
+        times: dict[str, float] = {}
+        dataset, validation_report = X, None
+        if config.validation_mode != "off":
+            with tracer.stage(
+                "validation", times, mode=config.validation_mode
+            ) as span:
+                validated = validate_dataset(
+                    X,
+                    y,
+                    mode=config.validation_mode,
+                    min_class_size=config.min_class_size,
+                )
+                report = validated.report
+                n_repairs = len(getattr(report, "repairs", []) or [])
+                span.set(
+                    n_findings=len(getattr(report, "findings", []) or []),
+                    n_repairs=n_repairs,
+                )
+                tracer.count("validation.repairs", n_repairs)
+            dataset, validation_report = validated.dataset, report
+        result = self.discoverer_._discover(dataset, tracer, times)
+        result.extra["validation_report"] = validation_report
+        self.discovery_result_ = result
+        self.shapelets_ = result.shapelets
+        self._dataset = dataset
+        # Share the discovery run's series cache with the transform, so
+        # the training series' FFT spectra and window statistics computed
+        # during utility scoring are reused here instead of redone.
+        counters = self.discoverer_.perf_counters_
+        transform_cache = self.discoverer_.kernel_cache_
+        if transform_cache is None:
+            transform_cache = SeriesCache(counters=counters)
+        self._transform = ShapeletTransform(
+            result.shapelets, cache=transform_cache
         )
+        with tracer.stage("transform", times, n_shapelets=len(result.shapelets)):
+            features = self._transform.transform(dataset.X)
+        with tracer.stage("classify", times, classifier=config.final_classifier):
+            self._scaler = StandardScaler()
+            scaled = self._scaler.fit_transform(features)
+            self._svm = _make_final_classifier(config)
+            self._svm.fit(scaled, dataset.y)
+        if counters.enabled:
+            result.extra["perf"] = {
+                **counters.snapshot(),
+                "phase_seconds": dict(times),
+            }
+        _finish_trace(tracer, result.extra.get("perf"), config)
+        return self
 
     def _check_fitted(self) -> None:
         if self._svm is None or self._transform is None or self._scaler is None:

@@ -23,7 +23,6 @@ to the nearest table when an exact-length table is missing (see DESIGN.md).
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -213,7 +212,6 @@ class PruneReport:
 
     removed_per_class: dict[int, int] = field(default_factory=dict)
     kept_per_class: dict[int, int] = field(default_factory=dict)
-    elapsed_seconds: float = 0.0
 
     @property
     def n_removed(self) -> int:
@@ -291,7 +289,6 @@ class DABF:
         Works on a copy; the input pool is untouched. Single-class pools
         pass through unchanged (there is no "other class" to collide with).
         """
-        start = time.perf_counter()
         pruned = pool.copy()
         report = PruneReport()
         for label in pool.classes:
@@ -302,7 +299,6 @@ class DABF:
                     removed += 1
             report.removed_per_class[label] = removed
             report.kept_per_class[label] = len(pool.all_of_class(label)) - removed
-        report.elapsed_seconds = time.perf_counter() - start
         return pruned, report
 
 
@@ -391,7 +387,6 @@ class NaivePruner:
 
     def prune(self, pool: CandidatePool) -> tuple[CandidatePool, PruneReport]:
         """Full naive pruning pass (for timing comparisons)."""
-        start = time.perf_counter()
         pruned = pool.copy()
         report = PruneReport()
         for label in pool.classes:
@@ -402,5 +397,4 @@ class NaivePruner:
                     removed += 1
             report.removed_per_class[label] = removed
             report.kept_per_class[label] = len(pool.all_of_class(label)) - removed
-        report.elapsed_seconds = time.perf_counter() - start
         return pruned, report

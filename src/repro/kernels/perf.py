@@ -3,11 +3,12 @@
 A :class:`PerfCounters` instance rides along with a
 :class:`repro.kernels.SeriesCache` (or is used standalone) and tallies how
 much distance-kernel work a discovery run performed: scalar and batched
-kernel invocations, forward/inverse FFT transforms, cache hits and misses,
-and wall-clock seconds per pipeline phase. ``IPS.discover`` attaches a
-:meth:`PerfCounters.snapshot` to ``DiscoveryResult.extra["perf"]`` so
+kernel invocations, forward/inverse FFT transforms, cache hits and misses.
+``IPS.discover`` attaches a :meth:`PerfCounters.snapshot`, next to the
+stage times its tracer measured, to ``DiscoveryResult.extra["perf"]`` so
 benchmarks (and ``e2ebench``'s per-layer metrics) can report regressions
-without re-instrumenting call sites.
+without re-instrumenting call sites. Wall time is not counted here:
+stages are timed by ``tracer.stage`` (:mod:`repro.obs.trace`).
 
 Counting is deliberately cheap (integer adds); the counters never change
 numerical results.
@@ -15,9 +16,7 @@ numerical results.
 
 from __future__ import annotations
 
-import time
-from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import ClassVar
 
 
@@ -45,8 +44,6 @@ class PerfCounters:
     spectra_disk_hits, spectra_disk_misses:
         Lookups against a persistent :class:`~repro.kernels.SpectraStore`
         (cross-run reuse); a disk hit skips the forward FFT entirely.
-    phase_seconds:
-        Wall-clock seconds per named phase, accumulated by :meth:`phase`.
     """
 
     #: Real counters record; the no-op singleton advertises False so the
@@ -60,17 +57,6 @@ class PerfCounters:
     cache_misses: int = 0
     spectra_disk_hits: int = 0
     spectra_disk_misses: int = 0
-    phase_seconds: dict[str, float] = field(default_factory=dict)
-
-    @contextmanager
-    def phase(self, name: str):
-        """Accumulate the wall time of the enclosed block under ``name``."""
-        start = time.perf_counter()
-        try:
-            yield self
-        finally:
-            elapsed = time.perf_counter() - start
-            self.phase_seconds[name] = self.phase_seconds.get(name, 0.0) + elapsed
 
     @property
     def cache_lookups(self) -> int:
@@ -106,7 +92,6 @@ class PerfCounters:
             "spectra_disk_hits": self.spectra_disk_hits,
             "spectra_disk_misses": self.spectra_disk_misses,
             "spectra_disk_hit_rate": self.spectra_disk_hit_rate,
-            "phase_seconds": dict(self.phase_seconds),
         }
 
     def merge(self, other: "PerfCounters") -> "PerfCounters":
@@ -118,8 +103,6 @@ class PerfCounters:
         self.cache_misses += other.cache_misses
         self.spectra_disk_hits += other.spectra_disk_hits
         self.spectra_disk_misses += other.spectra_disk_misses
-        for name, seconds in other.phase_seconds.items():
-            self.phase_seconds[name] = self.phase_seconds.get(name, 0.0) + seconds
         return self
 
 
@@ -127,9 +110,9 @@ class NullPerfCounters:
     """Discard-everything stand-in for ``observability="off"`` runs.
 
     Duck-types :class:`PerfCounters` — increments are swallowed by a
-    no-op ``__setattr__``, reads always see zeros, and :meth:`phase`
-    times nothing — so the kernel hot path (``counters.cache_hits += 1``
-    and friends) runs with zero bookkeeping and zero allocations. Use
+    no-op ``__setattr__`` and reads always see zeros — so the kernel hot
+    path (``counters.cache_hits += 1`` and friends) runs with zero
+    bookkeeping and zero allocations. Use
     the shared :data:`NULL_PERF_COUNTERS` singleton; counting is off by
     construction, so one instance serves every run.
     """
@@ -150,15 +133,6 @@ class NullPerfCounters:
     def __setattr__(self, name: str, value: object) -> None:
         pass
 
-    @property
-    def phase_seconds(self) -> dict[str, float]:
-        return {}
-
-    @contextmanager
-    def phase(self, name: str):
-        """Yield without timing anything."""
-        yield self
-
     def snapshot(self) -> dict:
         """All-zero snapshot (shape-compatible with the real one)."""
         return {
@@ -171,7 +145,6 @@ class NullPerfCounters:
             "spectra_disk_hits": 0,
             "spectra_disk_misses": 0,
             "spectra_disk_hit_rate": 0.0,
-            "phase_seconds": {},
         }
 
     def merge(self, other) -> "NullPerfCounters":

@@ -13,10 +13,9 @@ Four pieces:
   monotonic timestamps, per-span counters, and a JSONL sink
   (:meth:`Trace.to_jsonl` / :meth:`Trace.from_jsonl`, bit-identical
   round trips);
-* :class:`MetricsRegistry` / :func:`global_metrics` — process-local
-  counters, gauges, and summary histograms that absorb the kernel
-  engine's ``PerfCounters`` (kept as the compatible per-run view at
-  ``DiscoveryResult.extra["perf"]``);
+* :class:`MetricsRegistry` — per-run counters, gauges, and summary
+  histograms; a trace's registry absorbs the run's final
+  ``DiscoveryResult.extra["perf"]`` (kernel tallies and stage times);
 * :func:`run_manifest` — config, seeds, dataset fingerprint, package
   versions, and git SHA, attached to every trace so a
   ``DiscoveryResult`` is reproducible from its trace alone;
@@ -31,8 +30,8 @@ Four pieces:
 
 Select a mode with ``IPSConfig(observability=...)``: ``"off"`` (no
 observability work at all — the null tracer and the no-op perf-counter
-singleton), ``"counters"`` (the default: kernel counters only, overhead
-gated at <=2%), ``"trace"`` (span tree + metrics + manifest at
+singleton), ``"counters"`` (the default: kernel counters and stage times
+only), ``"trace"`` (span tree + metrics + manifest at
 ``DiscoveryResult.extra["trace"]``), or ``"trace+jsonl"`` (additionally
 stream the trace to a JSONL file, default ``.repro-obs/last-run.jsonl``).
 See ``docs/observability.md``.
@@ -49,8 +48,6 @@ from repro.obs.metrics import (
     BUCKET_BOUNDS,
     MetricsRegistry,
     WindowedHistogram,
-    global_metrics,
-    reset_global_metrics,
 )
 from repro.obs.report import load_trace, render_report
 from repro.obs.telemetry import (
@@ -91,7 +88,6 @@ __all__ = [
     "WindowedHistogram",
     "dataset_fingerprint",
     "git_sha",
-    "global_metrics",
     "jsonify",
     "load_trace",
     "make_tracer",
@@ -99,6 +95,5 @@ __all__ = [
     "prometheus_name",
     "render_prometheus",
     "render_report",
-    "reset_global_metrics",
     "run_manifest",
 ]

@@ -1,11 +1,9 @@
 """Process-local metrics: counters, gauges, and summary histograms.
 
 A :class:`MetricsRegistry` is a plain in-process store — no exporters, no
-threads. Each :class:`~repro.obs.trace.Trace` owns one (per-run metrics);
-a module-level registry (:func:`global_metrics`) additionally accumulates
-kernel-engine tallies across every run of the process, superseding
-``repro.kernels.perf.PerfCounters`` as the metrics surface while keeping
-``DiscoveryResult.extra["perf"]`` as the compatible per-run view.
+threads. Each :class:`~repro.obs.trace.Trace` owns one (per-run metrics),
+and a serving or streaming service records into the one it is handed
+(``metrics=``). There is no process-wide registry.
 
 Histograms are summary-only (count / sum / min / max): enough for the
 runtime-breakdown reports without unbounded memory, and exactly
@@ -241,14 +239,11 @@ class MetricsRegistry:
     )
 
     def absorb_perf(self, perf_snapshot: dict) -> None:
-        """Adopt a ``PerfCounters.snapshot()`` as this run's kernel view.
+        """Record a run's final ``extra["perf"]`` in this registry.
 
-        Kernel tallies become ``kernels.*`` counters, the hit rate a
-        gauge, and per-phase wall times ``phase_seconds.*`` gauges.
-        *Replace* semantics: the snapshot is cumulative within a run, so
-        absorbing a later snapshot of the same counters (e.g. after the
-        transform phase) updates the values instead of double-counting —
-        the call is idempotent and never disturbs other counters.
+        Kernel tallies become ``kernels.*`` counters, the hit rates
+        gauges, and the stage times ``phase_seconds.*`` gauges; other
+        counters are left alone.
         """
         for key in self._PERF_KEYS:
             self._counters[f"kernels.{key}"] = perf_snapshot.get(key, 0)
@@ -261,15 +256,6 @@ class MetricsRegistry:
         )
         for phase, seconds in perf_snapshot.get("phase_seconds", {}).items():
             self.gauge(f"phase_seconds.{phase}", seconds)
-
-    def accumulate_perf(self, perf_snapshot: dict) -> None:
-        """Additively fold a finished run's kernel tallies into this
-        registry (the cross-run flavour used by :func:`global_metrics`)."""
-        for key in self._PERF_KEYS:
-            self.counter(f"kernels.{key}", perf_snapshot.get(key, 0))
-        self.counter("runs", 1)
-        for phase, seconds in perf_snapshot.get("phase_seconds", {}).items():
-            self.observe(f"phase_seconds.{phase}", seconds)
 
     def merge(self, other: "MetricsRegistry") -> "MetricsRegistry":
         """Fold another registry into this one (returns self)."""
@@ -329,17 +315,3 @@ class MetricsRegistry:
             for name, window in data.get("windows", {}).items()
         }
         return registry
-
-
-_GLOBAL = MetricsRegistry()
-
-
-def global_metrics() -> MetricsRegistry:
-    """The process-wide registry (accumulates across runs)."""
-    return _GLOBAL
-
-
-def reset_global_metrics() -> None:
-    """Swap in a fresh global registry (test hook)."""
-    global _GLOBAL
-    _GLOBAL = MetricsRegistry()

@@ -23,8 +23,9 @@ the stdlib plus the existing :class:`~repro.obs.metrics.MetricsRegistry`:
   socket is closed and the thread joined before it returns.
 
 Nothing here is on any hot path unless explicitly attached: services
-built without a registry skip every instrumentation branch (the
-``observability="off"`` contract, gated at <=2% by ``make verify-obs``).
+built without a registry skip every instrumentation branch and answer
+bit-identically to instrumented ones (the ``observability="off"``
+contract, tested by ``make verify-obs``).
 """
 
 from __future__ import annotations

@@ -11,6 +11,14 @@ returns a reusable no-op context manager, so the hot paths allocate no
 trace objects at all (``Span.allocated`` counts real allocations, which
 the off-mode test pins at zero).
 
+A pipeline *stage* (generation, pruning, selection, transform, ...) is
+timed once, by ``tracer.stage(name, times)``: the null tracer reads the
+clock around the block, a :class:`Trace` opens a span and reuses its
+duration. Either way the reading is added into ``times[name]``, the one
+source of the ``DiscoveryResult.time_*`` fields, of
+``extra["perf"]["phase_seconds"]`` and of the trace's
+``phase_seconds.*`` gauges.
+
 Timestamps are monotonic (``time.perf_counter``) offsets from the trace
 origin, so spans order correctly even across wall-clock adjustments.
 Serialization (:meth:`Trace.to_jsonl` / :meth:`Trace.from_jsonl`) is
@@ -26,7 +34,8 @@ import time
 from contextlib import contextmanager
 from pathlib import Path
 
-from repro.exceptions import ValidationError
+from repro.exceptions import ReproError, ValidationError
+from repro.io import atomic_write
 from repro.obs.metrics import MetricsRegistry
 
 #: Accepted values of ``IPSConfig.observability``.
@@ -155,6 +164,15 @@ class NullTracer:
         """A reusable no-op context manager yielding :data:`NULL_SPAN`."""
         return _NULL_CONTEXT
 
+    @contextmanager
+    def stage(self, name: str, times: dict, **attrs: object):
+        """Add the block's wall time into ``times[name]`` (no span)."""
+        start = time.perf_counter()
+        try:
+            yield NULL_SPAN
+        finally:
+            times[name] = times.get(name, 0.0) + (time.perf_counter() - start)
+
     def event(self, name: str, **attrs: object) -> _NullSpan:
         """Discard the event."""
         return NULL_SPAN
@@ -206,6 +224,15 @@ class Trace:
             # an open child (keeps the tree well-nested under exceptions).
             while self._stack and self._stack.pop() is not node:
                 pass
+
+    @contextmanager
+    def stage(self, name: str, times: dict, **attrs: object):
+        """A :meth:`span` whose duration is also added into ``times[name]``."""
+        try:
+            with self.span(name, **attrs) as node:
+                yield node
+        finally:
+            times[name] = times.get(name, 0.0) + node.duration
 
     def event(self, name: str, **attrs: object) -> Span:
         """Record a zero-duration span at the current position."""
@@ -261,6 +288,9 @@ class Trace:
     def to_jsonl(self, path: str | Path | None = None) -> str:
         """Serialize to JSON Lines; optionally also write to ``path``.
 
+        The file is written with :func:`repro.io.atomic_write`; a failed
+        write raises :class:`~repro.exceptions.ReproError` naming the path.
+
         One record per line: a header carrying the mode and manifest, a
         metrics record, then every span depth-first with explicit
         ``id``/``parent`` references. Keys are sorted and ids are
@@ -307,8 +337,11 @@ class Trace:
         text = buf.getvalue()
         if path is not None:
             path = Path(path)
-            path.parent.mkdir(parents=True, exist_ok=True)
-            path.write_text(text)
+            try:
+                path.parent.mkdir(parents=True, exist_ok=True)
+            except OSError as exc:
+                raise ReproError(f"cannot write {path}: {exc}") from exc
+            atomic_write(path, text.encode(), ReproError)
         return text
 
     @classmethod

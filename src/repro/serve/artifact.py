@@ -62,7 +62,6 @@ def _frozen_copy(classifier):
     frozen = copy.copy(classifier)
     frozen.discoverer_ = None
     frozen.discovery_result_ = None
-    frozen._tracer = None
     if frozen._transform is not None:
         transform = copy.copy(frozen._transform)
         transform.cache = None

@@ -38,10 +38,12 @@ from repro.exceptions import (
     ArtifactIntegrityError,
     CampaignError,
     CheckpointError,
+    ReproError,
     SpectraStoreError,
 )
 from repro.io import atomic_write, check_manifest, sha256_bytes, sha256_file
 from repro.kernels import SpectraStore
+from repro.obs import Trace
 from repro.serve import load_artifact, save_artifact
 from repro.types import Candidate, CandidateKind
 
@@ -170,13 +172,19 @@ CELL = {"payload": {"status": "ok", "accuracy": 0.75}, "cell": {"cell_id": "a__b
             CampaignError,
             id="cell",
         ),
+        pytest.param(
+            lambda root: Trace().to_jsonl(root / "trace.jsonl"),
+            ReproError,
+            id="trace",
+        ),
     ],
 )
 @pytest.mark.parametrize("existed", [False, True], ids=["absent", "present"])
 def test_disk_full_raises_typed_error_naming_the_path(
     tmp_path, monkeypatch, save, error, existed
 ):
-    """Each store turns an ``OSError`` from the write into its own error."""
+    """Each store (and the trace JSONL sink) turns an ``OSError`` from the
+    write into its own error."""
     if existed:
         save(tmp_path)
     before = {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()}
@@ -189,6 +197,14 @@ def test_disk_full_raises_typed_error_naming_the_path(
     after = {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()}
     assert after == before
     assert temp_files(tmp_path) == []
+
+
+def test_trace_jsonl_under_a_file_raises_typed_error(tmp_path):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    with pytest.raises(ReproError, match=re.escape(str(blocker))) as info:
+        Trace().to_jsonl(blocker / "run.jsonl")
+    assert isinstance(info.value.__cause__, OSError)
 
 
 @pytest.mark.parametrize(

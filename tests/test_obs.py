@@ -12,6 +12,10 @@ Contracts pinned here:
 * ``observability="off"`` is bit-identical to ``"counters"`` on outputs,
   allocates zero trace objects, and attaches neither ``"trace"`` nor
   ``"perf"`` to the result;
+* each fit stage is timed once: ``DiscoveryResult.time_*``,
+  ``extra["perf"]["phase_seconds"]``, the stage span and the trace's
+  ``phase_seconds.*`` gauges hold the same float, and a classifier fit
+  finishes (absorbs and writes) its trace once;
 * baselines surface kernel perf counters at ``model.perf_``;
 * distributed discovery leaves one ``"unit"`` event per work unit with
   retry/checkpoint provenance, and otherwise records the serial run's
@@ -187,21 +191,12 @@ class TestMetrics:
         perf = {"kernel_calls": 4, "cache_hits": 2, "cache_misses": 2,
                 "cache_hit_rate": 0.5, "phase_seconds": {"generation": 0.1}}
         registry.absorb_perf(perf)
-        registry.absorb_perf(perf)  # re-absorb after the transform phase
+        registry.absorb_perf(perf)  # replace semantics: no double count
         snap = registry.snapshot()
         assert snap["counters"]["kernels.kernel_calls"] == 4
         assert snap["counters"]["candidates.generated"] == 10
+        assert snap["gauges"]["kernels.cache_hit_rate"] == 0.5
         assert snap["gauges"]["phase_seconds.generation"] == 0.1
-
-    def test_accumulate_perf_is_additive(self):
-        registry = MetricsRegistry()
-        perf = {"kernel_calls": 4, "phase_seconds": {"generation": 0.1}}
-        registry.accumulate_perf(perf)
-        registry.accumulate_perf(perf)
-        snap = registry.snapshot()
-        assert snap["counters"]["kernels.kernel_calls"] == 8
-        assert snap["counters"]["runs"] == 2
-        assert snap["histograms"]["phase_seconds.generation"]["count"] == 2
 
 
 class TestDiscoveryTrace:
@@ -285,6 +280,102 @@ class TestDiscoveryTrace:
         assert counters["kernels.kernel_calls"] >= 0
 
 
+#: The ``DiscoveryResult`` field of each discovery stage.
+STAGE_FIELDS = {
+    "generation": "time_candidate_generation",
+    "pruning": "time_pruning",
+    "selection": "time_selection",
+}
+
+
+def _stage_config(**overrides) -> IPSConfig:
+    return IPSConfig(**{**dict(k=3, q_n=4, q_s=3, seed=0), **overrides})
+
+
+def _planted(n_classes: int):
+    return make_planted_dataset(
+        n_classes=n_classes, n_instances=12, length=64, seed=3
+    )
+
+
+class TestStageClock:
+    """Each fit stage is timed once; every view of it reads that value."""
+
+    @pytest.mark.parametrize("mode", ["counters", "trace"])
+    @pytest.mark.parametrize("use_dabf", [True, False], ids=["dabf", "no-dabf"])
+    def test_stage_views_are_bit_equal(self, mode, use_dabf):
+        result = IPS(
+            _stage_config(use_dabf=use_dabf, observability=mode)
+        ).discover(_planted(3))
+        phase_seconds = result.extra["perf"]["phase_seconds"]
+        assert list(phase_seconds) == list(STAGE_FIELDS)
+        for stage, field in STAGE_FIELDS.items():
+            assert phase_seconds[stage] == getattr(result, field)
+        if mode == "trace":
+            trace = result.extra["trace"]
+            gauges = trace.metrics.snapshot()["gauges"]
+            for stage, seconds in phase_seconds.items():
+                [span] = trace.find(stage)
+                assert span.duration == seconds
+                assert gauges[f"phase_seconds.{stage}"] == seconds
+
+    @pytest.mark.parametrize("discoverer", [IPS, DistributedIPS])
+    @pytest.mark.parametrize("n_classes", [1, 3])
+    @pytest.mark.parametrize("use_dabf", [True, False], ids=["dabf", "no-dabf"])
+    def test_discover_holds_only_the_stages(self, discoverer, n_classes, use_dabf):
+        trace = discoverer(
+            _stage_config(use_dabf=use_dabf, observability="trace")
+        ).discover(_planted(n_classes)).extra["trace"]
+        [discover] = trace.find("discover")
+        stages = discover.children
+        assert [stage.name for stage in stages] == list(STAGE_FIELDS)
+        # The DABF is built once, inside the stage that first needs it.
+        builds = [
+            child
+            for stage in stages
+            for child in stage.children
+            if child.name == "dabf.build"
+        ]
+        assert len(builds) == len(trace.find("dabf.build")) == 1
+
+    @pytest.mark.parametrize("entry", ["fit_dataset", "fit"])
+    def test_classifier_fit_finishes_its_trace_once(
+        self, dataset, tmp_path, monkeypatch, entry
+    ):
+        writes = []
+        to_jsonl = Trace.to_jsonl
+
+        def counting_to_jsonl(trace, path=None):
+            if path is not None:
+                writes.append(path)
+            return to_jsonl(trace, path)
+
+        monkeypatch.setattr(Trace, "to_jsonl", counting_to_jsonl)
+        path = tmp_path / "fit.jsonl"
+        clf = IPSClassifier(
+            _config(observability="trace+jsonl", obs_jsonl_path=str(path))
+        )
+        if entry == "fit":
+            clf.fit(dataset.X, dataset.y)
+        else:
+            clf.fit_dataset(dataset)
+        assert len(writes) == 1
+        result = clf.discovery_result_
+        perf = result.extra["perf"]
+        assert list(perf["phase_seconds"]) == [
+            "validation", *STAGE_FIELDS, "transform", "classify",
+        ]
+        for stage, field in STAGE_FIELDS.items():
+            assert perf["phase_seconds"][stage] == getattr(result, field)
+        metrics = Trace.from_jsonl(path).metrics.snapshot()
+        for key in MetricsRegistry._PERF_KEYS:
+            assert metrics["counters"][f"kernels.{key}"] == perf[key]
+        for stage, seconds in perf["phase_seconds"].items():
+            assert metrics["gauges"][f"phase_seconds.{stage}"] == seconds
+            [span] = result.extra["trace"].find(stage)
+            assert span.duration == seconds
+
+
 class TestGenerationSpans:
     def test_round_holds_kernel_then_units(self, dataset):
         """generation > round > (stomp, unit > mp): one batched kernel per
@@ -330,30 +421,31 @@ class TestOffMode:
         assert "trace" not in result.extra
         assert result.extra["perf"]["fft_count"] > 0
 
+    def test_null_tracer_is_reusable_and_inert(self):
+        before = Span.allocated
+        times: dict[str, float] = {}
+        for _ in range(3):
+            with NULL_TRACER.span("anything", a=1) as span:
+                assert span is NULL_SPAN
+                span.set(b=2)
+            with NULL_TRACER.stage("stage", times, a=1) as span:
+                assert span is NULL_SPAN
+            NULL_TRACER.event("e")
+            NULL_TRACER.count("c")
+        assert Span.allocated == before
+        assert list(times) == ["stage"] and times["stage"] > 0.0
+        assert not NULL_TRACER.active
+        assert make_tracer("off") is NULL_TRACER
+        assert make_tracer("counters") is NULL_TRACER
+
     def test_null_perf_counters_swallow_everything(self):
         assert isinstance(NULL_PERF_COUNTERS, NullPerfCounters)
         assert not NULL_PERF_COUNTERS.enabled
         assert PerfCounters.enabled
         NULL_PERF_COUNTERS.cache_hits += 5
         assert NULL_PERF_COUNTERS.cache_hits == 0
-        with NULL_PERF_COUNTERS.phase("generation"):
-            pass
-        assert NULL_PERF_COUNTERS.phase_seconds == {}
         assert NULL_PERF_COUNTERS.snapshot()["kernel_calls"] == 0
         assert NULL_PERF_COUNTERS.merge(PerfCounters()) is NULL_PERF_COUNTERS
-
-    def test_null_tracer_is_reusable_and_inert(self):
-        before = Span.allocated
-        for _ in range(3):
-            with NULL_TRACER.span("anything", a=1) as span:
-                assert span is NULL_SPAN
-                span.set(b=2)
-            NULL_TRACER.event("e")
-            NULL_TRACER.count("c")
-        assert Span.allocated == before
-        assert not NULL_TRACER.active
-        assert make_tracer("off") is NULL_TRACER
-        assert make_tracer("counters") is NULL_TRACER
 
 
 class TestDistributedTrace:
@@ -431,8 +523,10 @@ class TestBaselinePerf:
         model = MPBaseline(k=2, seed=0).fit_dataset(dataset)
         assert model.perf_ is not None
         assert model.perf_["cache_hits"] + model.perf_["cache_misses"] > 0
-        assert "discovery" in model.perf_["phase_seconds"]
-        assert "transform" in model.perf_["phase_seconds"]
+        assert list(model.perf_["phase_seconds"]) == [
+            "discovery", "transform", "classify",
+        ]
+        assert model.perf_["phase_seconds"]["discovery"] == model.discovery_seconds_
 
     def test_fast_shapelets_reports_kernel_work(self, dataset):
         model = FastShapelets(k=2, seed=0).fit_dataset(dataset)
