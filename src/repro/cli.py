@@ -326,15 +326,12 @@ def cmd_serve_run(args: argparse.Namespace) -> int:
             None if args.deadline_ms is None else args.deadline_ms / 1e3
         ),
     )
-    # Self-test traffic: perturbed copies of the frozen training series.
+    # Self-test traffic: Gaussian series of the model's length (an
+    # artifact holds no training series).
     import numpy as np
 
     rng = np.random.default_rng(args.seed)
-    dataset = classifier._dataset
-    rows = rng.integers(0, dataset.n_series, size=args.requests)
-    X = dataset.X[rows] + 0.05 * rng.normal(
-        size=(args.requests, dataset.series_length)
-    )
+    X = rng.normal(size=(args.requests, classifier.model_.series_length))
     registry, slo = _make_telemetry(args.telemetry_port)
     server = None
     with InferenceService(

@@ -10,7 +10,8 @@ Stages (Fig. 5 of the paper):
 4. shapelet transform (Def. 7) + linear SVM — here.
 
 :class:`IPS` runs discovery; :class:`IPSClassifier` adds the
-transform-and-classify stage behind a ``fit``/``predict`` interface.
+transform-and-classify stage behind a ``fit``/``predict`` interface,
+fitted as one :class:`ShapeletModel`.
 """
 
 from repro.core.budget import Budget, BudgetTracker
@@ -21,6 +22,7 @@ from repro.core.analysis import (
     shapelet_quality,
 )
 from repro.core.config import IPSConfig
+from repro.core.model import ShapeletModel
 from repro.core.pipeline import IPS, IPSClassifier
 from repro.core.report import describe_discovery
 from repro.core.selection import select_top_k
@@ -34,6 +36,7 @@ __all__ = [
     "IPS",
     "IPSClassifier",
     "IPSConfig",
+    "ShapeletModel",
     "ShapeletTransform",
     "TuningResult",
     "UtilityScores",

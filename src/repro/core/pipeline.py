@@ -11,6 +11,7 @@ from repro.classify.scaler import StandardScaler
 from repro.classify.svm import OneVsRestSVM
 from repro.classify.tree import DecisionTree
 from repro.core.config import IPSConfig
+from repro.core.model import ShapeletModel, ShapeletModelPredictor
 from repro.core.selection import select_top_k_per_class
 from repro.core.transform import ShapeletTransform
 from repro.core.utility import (
@@ -19,7 +20,7 @@ from repro.core.utility import (
     score_candidates_brute,
     score_candidates_dt,
 )
-from repro.exceptions import EmptyPoolError, NotFittedError, ValidationError
+from repro.exceptions import EmptyPoolError, NotFittedError
 from repro.filters.dabf import DABF, NaivePruner, PruneReport
 from repro.instanceprofile.candidates import CandidatePool, generate_candidates
 from repro.kernels import NULL_PERF_COUNTERS, PerfCounters, SeriesCache
@@ -396,14 +397,15 @@ def _make_final_classifier(config: IPSConfig):
     return _Feature1NN()
 
 
-class IPSClassifier(ParamsMixin):
+class IPSClassifier(ShapeletModelPredictor, ParamsMixin):
     """IPS discovery + shapelet transform + standardization + classifier.
 
     The final classifier defaults to the paper's linear SVM and can be
     switched via ``IPSConfig(final_classifier=...)``. The
     ``fit``/``predict``/``score`` interface takes raw ``(M, N)`` arrays
     with arbitrary integer labels (a :class:`Dataset` is also accepted by
-    :meth:`fit_dataset`).
+    :meth:`fit_dataset`). The fitted stack is :attr:`model_`, a
+    :class:`~repro.core.model.ShapeletModel`.
     """
 
     def __init__(self, config: IPSConfig | None = None) -> None:
@@ -411,9 +413,8 @@ class IPSClassifier(ParamsMixin):
         self.discoverer_ = IPS(self.config)
         self.shapelets_: list[Shapelet] | None = None
         self.discovery_result_: DiscoveryResult | None = None
-        self._transform: ShapeletTransform | None = None
-        self._scaler: StandardScaler | None = None
-        self._svm: OneVsRestSVM | None = None
+        #: The (validated) training set of the last fit; the artifact
+        #: manifest fingerprints it. Not part of :attr:`model_`.
         self._dataset: Dataset | None = None
 
     def fit_dataset(self, dataset: Dataset) -> "IPSClassifier":
@@ -472,21 +473,23 @@ class IPSClassifier(ParamsMixin):
         self._dataset = dataset
         # Share the discovery run's series cache with the transform, so
         # the training series' FFT spectra and window statistics computed
-        # during utility scoring are reused here instead of redone.
+        # during utility scoring are reused here instead of redone (and
+        # offline predict keeps using it).
         counters = self.discoverer_.perf_counters_
         transform_cache = self.discoverer_.kernel_cache_
         if transform_cache is None:
             transform_cache = SeriesCache(counters=counters)
-        self._transform = ShapeletTransform(
-            result.shapelets, cache=transform_cache
-        )
+        transform = ShapeletTransform(result.shapelets, cache=transform_cache)
         with tracer.stage("transform", times, n_shapelets=len(result.shapelets)):
-            features = self._transform.transform(dataset.X)
+            features = transform.transform(dataset.X)
         with tracer.stage("classify", times, classifier=config.final_classifier):
-            self._scaler = StandardScaler()
-            scaled = self._scaler.fit_transform(features)
-            self._svm = _make_final_classifier(config)
-            self._svm.fit(scaled, dataset.y)
+            scaler = StandardScaler()
+            scaled = scaler.fit_transform(features)
+            inner = _make_final_classifier(config)
+            inner.fit(scaled, dataset.y)
+        self.model_ = ShapeletModel(
+            transform, scaler, inner, dataset.classes_, dataset.series_length
+        )
         if counters.enabled:
             result.extra["perf"] = {
                 **counters.snapshot(),
@@ -494,64 +497,3 @@ class IPSClassifier(ParamsMixin):
             }
         _finish_trace(tracer, result.extra.get("perf"), config)
         return self
-
-    def _check_fitted(self) -> None:
-        if self._svm is None or self._transform is None or self._scaler is None:
-            raise NotFittedError("call fit before predict")
-
-    def transform(self, X: np.ndarray) -> np.ndarray:
-        """Shapelet-transform features for ``X`` (unscaled)."""
-        self._check_fitted()
-        return self._transform.transform(X)
-
-    def predict(self, X: np.ndarray) -> np.ndarray:
-        """Predicted labels (in the caller's original label values)."""
-        self._check_fitted()
-        features = self._scaler.transform(self._transform.transform(X))
-        internal = self._svm.predict(features)
-        return self._dataset.classes_[internal]
-
-    @property
-    def classes_(self) -> np.ndarray:
-        """Original-valued class labels, sorted (Predictor contract)."""
-        return self._fitted_classes()
-
-    def _inner_scores(self, X: np.ndarray, method: str) -> np.ndarray:
-        """Run the inner classifier's score surface on transformed features.
-
-        The inner model is trained on internal labels ``0..C-1`` (the
-        positions of :attr:`classes_`), and every final classifier sees
-        all of them at fit time, so its columns already line up with the
-        original class order — no re-indexing needed.
-        """
-        self._check_fitted()
-        features = self._scaler.transform(self._transform.transform(X))
-        scores = np.asarray(getattr(self._svm, method)(features), dtype=np.float64)
-        if scores.shape[1] != self._fitted_classes().size:
-            raise ValidationError(
-                f"inner classifier produced {scores.shape[1]} columns for "
-                f"{self._fitted_classes().size} classes"
-            )
-        return scores
-
-    def predict_proba(self, X: np.ndarray) -> np.ndarray:
-        """Per-class probabilities, ``(M, C)`` in :attr:`classes_` order."""
-        return self._inner_scores(X, "predict_proba")
-
-    def decision_function(self, X: np.ndarray) -> np.ndarray:
-        """Per-class decision values, ``(M, C)`` in :attr:`classes_` order."""
-        return self._inner_scores(X, "decision_function")
-
-    def score(self, X: np.ndarray, y: np.ndarray) -> float:
-        """Accuracy against original-valued labels."""
-        from repro.classify.metrics import accuracy_score
-
-        y = np.asarray(y, dtype=np.int64)
-        if not np.all(np.isin(np.unique(y), self._fitted_classes())):
-            raise ValidationError("test labels contain classes unseen in training")
-        return accuracy_score(y, self.predict(X))
-
-    def _fitted_classes(self) -> np.ndarray:
-        if self._dataset is None:
-            raise NotFittedError("call fit before inspecting classes")
-        return self._dataset.classes_

@@ -5,13 +5,9 @@ from __future__ import annotations
 import numpy as np
 
 from repro.exceptions import NotFittedError, ValidationError
-from repro.kernels import SeriesCache, batch_min_distance, direct_min_distance
+from repro.kernels import SeriesCache, batch_min_distance
 from repro.ts.dtw import dtw_distance
 from repro.types import ParamsMixin, Shapelet
-
-#: Accepted values of ``ShapeletTransform(engine=...)``.
-ENGINES: tuple[str, ...] = ("fft", "direct")
-
 
 class ShapeletTransform(ParamsMixin):
     """Transforms series into the shapelet-distance feature space.
@@ -39,14 +35,6 @@ class ShapeletTransform(ParamsMixin):
         whole pipeline. Without one, each :meth:`transform` call uses a
         private cache (stats still computed once per call, not per
         shapelet).
-    engine:
-        Sliding-dot-product strategy of the Euclidean metric: ``"fft"``
-        (default — the batched FFT kernels, unchanged historical bits)
-        or ``"direct"`` — per-window BLAS dots via
-        :func:`repro.kernels.direct_min_distance`, the batch anchor a
-        chunk-fed :class:`repro.streaming.StreamingTransform` is
-        bit-identical to. The two engines agree to FFT round-off
-        (~1e-9 relative).
     """
 
     def __init__(
@@ -55,18 +43,12 @@ class ShapeletTransform(ParamsMixin):
         metric: str = "euclidean",
         dtw_band: int | None = 5,
         cache: SeriesCache | None = None,
-        engine: str = "fft",
     ) -> None:
         if metric not in ("euclidean", "dtw"):
             raise ValidationError(f"unknown metric {metric!r}")
-        if engine not in ENGINES:
-            raise ValidationError(
-                f"unknown engine {engine!r}; choose from {ENGINES}"
-            )
         self.metric = metric
         self.dtw_band = dtw_band
         self.cache = cache
-        self.engine = engine
         self.shapelets_: list[Shapelet] | None = None
         if shapelets is not None:
             self.fit(shapelets)
@@ -95,8 +77,6 @@ class ShapeletTransform(ParamsMixin):
         if self.metric == "euclidean":
             cache = self.cache if self.cache is not None else SeriesCache()
             queries = [s.values for s in self.shapelets_]
-            if self.engine == "direct":
-                return direct_min_distance(queries, X, cache=cache)
             return batch_min_distance(queries, X, cache=cache)
         return self._transform_dtw(X)
 

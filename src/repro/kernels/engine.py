@@ -513,9 +513,9 @@ def direct_window_dots(series, query, start: int = 0, stop: int | None = None):
 
     Computes ``dot_j = series[j:j+L] . query`` for window starts in
     ``[start, stop)`` with one BLAS dot per window — no FFT. This is the
-    kernel both the batch ``direct`` engine and the incremental
+    kernel both the batch :func:`direct_min_distance` and the incremental
     :class:`~repro.streaming.StreamingMatcher` call, which is what makes
-    the streaming transform *bit-identical* to the batch direct engine:
+    the streaming transform *bit-identical* to the batch direct kernel:
     each window's dot product is evaluated by the same routine on the
     same contiguous slice, regardless of how much of the series has
     arrived.

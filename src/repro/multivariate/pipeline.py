@@ -9,7 +9,7 @@ from repro.classify.svm import OneVsRestSVM
 from repro.core.config import IPSConfig
 from repro.core.pipeline import IPS
 from repro.core.transform import ShapeletTransform
-from repro.exceptions import NotFittedError, ValidationError
+from repro.exceptions import EmptyPoolError, NotFittedError, ValidationError
 from repro.multivariate.dataset import MultivariateDataset
 from repro.types import Shapelet
 
@@ -20,9 +20,10 @@ class MultivariateIPSClassifier:
     Strategy: run the univariate IPS discovery independently on every
     dimension (each dimension sees the shared labels), then embed an
     instance as the concatenation of its per-dimension shapelet-transform
-    features and classify with one linear SVM. Dimensions that fail
-    discovery (e.g. constant channels) are skipped with a record in
-    :attr:`skipped_dimensions_`.
+    features and classify with one linear SVM. Dimensions whose
+    discovery finds no candidates (:class:`~repro.exceptions.EmptyPoolError`,
+    e.g. a degenerate channel) are skipped with a record in
+    :attr:`skipped_dimensions_`; any other error propagates.
 
     Parameters
     ----------
@@ -50,7 +51,7 @@ class MultivariateIPSClassifier:
             uni = dataset.dimension(dim)
             try:
                 result = IPS(self.config).discover(uni)
-            except Exception:  # noqa: BLE001 - degenerate channel: skip it
+            except EmptyPoolError:  # degenerate channel: skip it
                 self.skipped_dimensions_.append(dim)
                 continue
             self.shapelets_per_dim_[dim] = result.shapelets

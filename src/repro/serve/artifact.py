@@ -4,7 +4,7 @@ An artifact is a directory::
 
     <artifact_dir>/
         manifest.json   # run-manifest fields + format version + checksums
-        model.bin       # the frozen classifier payload (stdlib pickle)
+        model.bin       # the frozen classifier: config, shapelets_, model_ (pickle)
 
 The manifest reuses the :func:`repro.obs.run_manifest` format — full
 config, seed, dataset SHA-256 fingerprint, package versions, git SHA —
@@ -27,7 +27,6 @@ is a pickle, so only load artifacts you produced. Writes follow
 
 from __future__ import annotations
 
-import copy
 import dataclasses
 import json
 import pickle
@@ -44,7 +43,7 @@ from repro.io import atomic_write, read_json, sha256_bytes, sha256_file
 from repro.obs.manifest import dataset_fingerprint, git_sha, package_versions
 
 #: Bumped whenever the payload layout changes incompatibly.
-ARTIFACT_FORMAT_VERSION = 1
+ARTIFACT_FORMAT_VERSION = 2
 
 _MANIFEST = "manifest.json"
 _MODEL = "model.bin"
@@ -53,19 +52,18 @@ _MODEL = "model.bin"
 def _frozen_copy(classifier):
     """A lean, inference-only copy of a fitted classifier.
 
-    Discovery-time state (candidate pools, traces, kernel caches) can be
-    orders of magnitude larger than the model and is useless at serving
-    time, so it is stripped. The copy still satisfies
-    ``predict``/``score`` bit-identically — only ``fit`` is off the
-    table, which is the definition of a frozen artifact.
+    The copy keeps ``config``, ``shapelets_`` and ``model_`` (its
+    transform unbound from any kernel cache). Discovery-time state
+    (candidate pools, traces, kernel caches) and the training matrix can
+    be orders of magnitude larger than the model and are useless at
+    serving time, so nothing else is kept. ``predict``/``score`` stay
+    bit-identical — only ``fit`` is off the table, which is the
+    definition of a frozen artifact.
     """
-    frozen = copy.copy(classifier)
+    frozen = type(classifier)(classifier.config)
     frozen.discoverer_ = None
-    frozen.discovery_result_ = None
-    if frozen._transform is not None:
-        transform = copy.copy(frozen._transform)
-        transform.cache = None
-        frozen._transform = transform
+    frozen.shapelets_ = classifier.shapelets_
+    frozen.model_ = classifier.model_.with_cache(None)
     return frozen
 
 
@@ -76,12 +74,8 @@ def save_artifact(classifier, artifact_dir: str | Path) -> Path:
     :class:`~repro.exceptions.NotFittedError` for an unfitted classifier
     — an artifact that cannot predict is not worth writing.
     """
-    if (
-        getattr(classifier, "_svm", None) is None
-        or getattr(classifier, "_transform", None) is None
-        or getattr(classifier, "_scaler", None) is None
-        or getattr(classifier, "_dataset", None) is None
-    ):
+    model = getattr(classifier, "model_", None)
+    if model is None:
         raise NotFittedError("cannot save an unfitted classifier as an artifact")
     artifact_dir = Path(artifact_dir)
     artifact_dir.mkdir(parents=True, exist_ok=True)
@@ -91,20 +85,19 @@ def save_artifact(classifier, artifact_dir: str | Path) -> Path:
 
     from repro.obs.trace import jsonify
 
-    dataset = classifier._dataset
     manifest = {
         "format_version": ARTIFACT_FORMAT_VERSION,
         "created_at": time.strftime("%Y-%m-%dT%H:%M:%S"),
         "config": jsonify(dataclasses.asdict(classifier.config)),
         "seed": classifier.config.seed,
-        "dataset": dataset_fingerprint(dataset),
+        "dataset": dataset_fingerprint(classifier._dataset),
         "versions": package_versions(),
         "git_sha": git_sha(),
         "model": {
             "n_shapelets": len(classifier.shapelets_ or []),
-            "series_length": dataset.series_length,
-            "n_classes": dataset.n_classes,
-            "classes": [int(c) for c in dataset.classes_],
+            "series_length": model.series_length,
+            "n_classes": int(model.classes_.size),
+            "classes": [int(c) for c in model.classes_],
             "final_classifier": classifier.config.final_classifier,
         },
         "files": {_MODEL: sha256_bytes(payload)},
@@ -214,12 +207,7 @@ def load_artifact(
             f"artifact payload is a {type(classifier).__name__}, "
             "not an IPSClassifier"
         )
-    if (
-        getattr(classifier, "_svm", None) is None
-        or getattr(classifier, "_transform", None) is None
-        or getattr(classifier, "_scaler", None) is None
-        or getattr(classifier, "_dataset", None) is None
-    ):
+    if getattr(classifier, "model_", None) is None:
         raise ArtifactIntegrityError(
             "artifact payload is an unfitted classifier"
         )

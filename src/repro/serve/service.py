@@ -35,7 +35,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.core.transform import ShapeletTransform
 from repro.exceptions import (
     DeadlineExceededError,
     InvalidRequestError,
@@ -196,7 +195,8 @@ class InferenceService:
     ----------
     classifier:
         A fitted :class:`~repro.core.pipeline.IPSClassifier` (typically
-        from :func:`repro.serve.load_artifact`).
+        from :func:`repro.serve.load_artifact`) or shapelet-transform
+        baseline; the service serves its ``model_``.
     config:
         :class:`ServeConfig`; defaults are sized for tests/benchmarks.
     fault_plan:
@@ -228,12 +228,7 @@ class InferenceService:
         metrics=None,
         slo=None,
     ) -> None:
-        if (
-            getattr(classifier, "_svm", None) is None
-            or getattr(classifier, "_scaler", None) is None
-            or getattr(classifier, "_dataset", None) is None
-            or not getattr(classifier, "shapelets_", None)
-        ):
+        if getattr(classifier, "model_", None) is None:
             raise NotFittedError("InferenceService needs a fitted classifier")
         self.classifier = classifier
         self.config = config or ServeConfig()
@@ -243,21 +238,14 @@ class InferenceService:
         self._injector = (
             RequestFaultInjector(fault_plan) if fault_plan is not None else None
         )
-        dataset = classifier._dataset
-        self.series_length: int = dataset.series_length
-        self._classes = np.asarray(dataset.classes_, dtype=np.int64)
-        # Warm shared cache + a service-owned transform bound to it: the
-        # same shapelet objects and classifier weights as offline predict,
-        # so responses stay bit-identical while window stats/FFTs of each
+        # Warm shared cache + the classifier's model bound to it: the same
+        # shapelet objects and classifier weights as offline predict, so
+        # responses stay bit-identical while window stats/FFTs of each
         # microbatch are computed once per batch, not once per shapelet.
         self._cache = SeriesCache()
-        base_transform = classifier._transform
-        self._transform = ShapeletTransform(
-            classifier.shapelets_,
-            metric=getattr(base_transform, "metric", "euclidean"),
-            dtw_band=getattr(base_transform, "dtw_band", 5),
-            cache=self._cache,
-        )
+        self._model = classifier.model_.with_cache(self._cache)
+        self.series_length: int = self._model.series_length
+        self._classes = np.asarray(self._model.classes_, dtype=np.int64)
         self.queue = AdmissionQueue(
             self.config.queue_depth, self.config.shed_policy
         )
@@ -580,32 +568,16 @@ class InferenceService:
             self._count("serial_fallbacks")
             self._serve_serial(request)
 
-    def _predict_matrix(self, X: np.ndarray) -> np.ndarray:
-        """The offline-identical kernel path for one microbatch."""
-        if len(self._cache) > self.config.cache_max_entries:
-            self._cache.clear()
-        classifier = self.classifier
-        features = classifier._scaler.transform(self._transform.transform(X))
-        internal = classifier._svm.predict(features)
-        return self._classes[internal]
-
     def _compute_matrix(self, X: np.ndarray, mode: str) -> np.ndarray:
-        """One microbatch through the kernel path in the requested mode.
-
-        ``label`` goes through :meth:`_predict_matrix` (the historical —
-        and chaos-test-interceptable — hook); score modes run the inner
-        classifier's Predictor surface on the same features.
-        """
-        if mode == "label":
-            return self._predict_matrix(X)
+        """One microbatch through the offline-identical kernel path in the
+        requested mode (the chaos tests intercept this hook)."""
         if len(self._cache) > self.config.cache_max_entries:
             self._cache.clear()
-        classifier = self.classifier
-        features = classifier._scaler.transform(self._transform.transform(X))
-        method = "predict_proba" if mode == "proba" else "decision_function"
-        return np.asarray(
-            getattr(classifier._svm, method)(features), dtype=np.float64
-        )
+        if mode == "label":
+            return self._model.predict(X)
+        if mode == "proba":
+            return self._model.predict_proba(X)
+        return self._model.decision_function(X)
 
     def _payload_corrupt(self, request, payload) -> bool:
         """Payload validation: the corrupt-response detector per mode."""

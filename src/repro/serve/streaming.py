@@ -25,7 +25,7 @@ The serving disciplines carry over:
   (``repair`` zero-fills non-finite values, ``strict``/``off`` refuse).
 
 Decisions are consistent with batch serving: the streaming features
-converge bit-identically to the batch ``direct`` engine, so a session
+converge bit-identically to the batch direct kernel, so a session
 run to end-of-stream emits the label the batch path would.
 """
 

@@ -8,7 +8,7 @@ one, in three layers:
   :class:`~repro.kernels.RollingStats` and the direct kernels;
 * :class:`StreamingTransform` — the best-so-far shapelet-transform
   feature vector after every ``append(chunk)``, bit-identical at end of
-  stream to ``ShapeletTransform(engine="direct")`` on the full series;
+  stream to :func:`~repro.kernels.direct_min_distance` on the full series;
 * :class:`EarlyClassifier` — wraps any :class:`repro.types.Predictor`
   and emits a :class:`StreamingDecision` once the decision margin clears
   a threshold, with optional anytime budgets, metrics gauges, and margin

@@ -10,10 +10,11 @@ far emission instead, mirroring the anytime ``completed=False`` contract
 of discovery.
 
 Because the streaming features converge bit-identically to the batch
-``direct``-engine features (:mod:`repro.streaming.transform`), an
-end-of-stream decision always equals the batch prediction on the full
-series — early emission can only trade *when* for *what* under the margin
-threshold, never silently change the final model.
+direct-kernel features (:func:`repro.kernels.direct_min_distance`; see
+:mod:`repro.streaming.transform`), an end-of-stream decision always
+equals the batch prediction on the full series — early emission can only
+trade *when* for *what* under the margin threshold, never silently change
+the final model.
 """
 
 from __future__ import annotations
@@ -203,22 +204,21 @@ class EarlyClassifier:
 
         Accepts an :class:`~repro.core.pipeline.IPSClassifier` or any
         baseline :class:`~repro.baselines.base.ShapeletTransformClassifier`
-        — both expose ``shapelets_``, an inner scaler/classifier pair
-        trained on internal labels, and original-valued ``classes_``.
+        — both hold a :class:`~repro.core.model.ShapeletModel` in
+        ``model_``: shapelets, a scaler/classifier pair trained on
+        internal labels, and original-valued ``classes_``.
         """
-        shapelets = getattr(classifier, "shapelets_", None)
-        inner = getattr(classifier, "_svm", None)
-        scaler = getattr(classifier, "_scaler", None)
-        if not shapelets or inner is None:
+        model = getattr(classifier, "model_", None)
+        if model is None:
             raise NotFittedError(
                 "from_classifier needs a fitted shapelet-pipeline classifier"
             )
         return cls(
-            inner,
-            shapelets,
-            scaler=scaler,
+            model.classifier,
+            model.transform.shapelets_,
+            scaler=model.scaler,
             margin_threshold=margin_threshold,
-            classes=classifier.classes_,
+            classes=model.classes_,
             **kwargs,
         )
 

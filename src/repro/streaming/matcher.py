@@ -5,10 +5,10 @@ transform: it holds one unbounded series, fed chunk-by-chunk, and
 maintains for every shapelet the minimum Def.-4 distance over all
 complete windows seen so far.
 
-Bit-identity to the batch ``direct`` engine
--------------------------------------------
+Bit-identity to the batch direct kernel
+---------------------------------------
 Every quantity is produced by the exact code the batch
-``ShapeletTransform(engine="direct")`` path runs:
+:func:`~repro.kernels.direct_min_distance` runs:
 
 * window sums of squares come from :class:`~repro.kernels.RollingStats`,
   whose chunk-extended cumulative sums are bit-identical to a one-shot
@@ -25,7 +25,7 @@ Every quantity is produced by the exact code the batch
 
 Consequently a series fed in chunks of *any* sizes (including one sample
 at a time) yields exactly the bits of
-``ShapeletTransform(shapelets, engine="direct").transform(series)`` —
+``direct_min_distance(queries, series[None], cache=SeriesCache())`` —
 the property test in ``tests/test_streaming_property.py`` pins this.
 """
 

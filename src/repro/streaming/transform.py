@@ -4,7 +4,7 @@
 *growing* series: after every ``append(chunk)`` it returns the distance
 vector computed over all samples seen so far. Once the stream ends, the
 vector is bit-identical to the batch
-``ShapeletTransform(shapelets, engine="direct").transform(series)`` row
+``direct_min_distance(queries, series[None], cache=SeriesCache())`` row
 (see :mod:`repro.streaming.matcher` for why), so a model fitted on batch
 features can consume streaming features without recalibration.
 """

@@ -197,7 +197,7 @@ class TestIPSClassifier:
         (PGmax - PGmin <= tol) before its epoch cap."""
         data = make_planted_dataset(n_classes=8, n_instances=160, length=56, seed=4)
         clf = IPSClassifier(IPSConfig(seed=0)).fit_dataset(data)
-        machines = clf._svm._models
+        machines = clf.model_.classifier._models
         assert len(machines) == 8
         for machine in machines:
             assert 0 < machine.n_iter_ < machine.max_epochs

@@ -2,12 +2,20 @@
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 
 from repro.core.config import IPSConfig
+from repro.core.pipeline import IPS
 from repro.datasets.generators import make_planted_dataset
-from repro.exceptions import NotFittedError, ValidationError
+from repro.exceptions import (
+    EmptyPoolError,
+    NotFittedError,
+    ReproError,
+    ValidationError,
+)
 from repro.multivariate import MultivariateDataset, MultivariateIPSClassifier
 
 
@@ -105,6 +113,37 @@ class TestMultivariateIPSClassifier:
             clf.predict(np.zeros((1, 2, 30)))
         with pytest.raises(NotFittedError):
             _ = clf.n_shapelets
+
+    def test_dimension_without_candidates_is_skipped(self, monkeypatch):
+        X, y = _make_mv(n=16, seed=3)
+        discover = IPS.discover
+
+        def empty_on_dimension_1(self, dataset):
+            if np.array_equal(dataset.X, X[:, 1, :]):
+                raise EmptyPoolError("no candidates on this channel")
+            return discover(self, dataset)
+
+        monkeypatch.setattr(IPS, "discover", empty_on_dimension_1)
+        config = IPSConfig(k=2, q_n=6, q_s=3, length_ratios=(0.2, 0.35), seed=0)
+        clf = MultivariateIPSClassifier(config).fit(X, y)
+        assert clf.skipped_dimensions_ == [1]
+        assert set(clf.shapelets_per_dim_) == {0, 2}
+        assert clf.predict(X).shape == (16,)
+
+    def test_unwritable_trace_path_raises_naming_it(self, tmp_path):
+        X, y = _make_mv(n=16, seed=3)
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        config = IPSConfig(
+            k=2,
+            q_n=6,
+            q_s=3,
+            seed=0,
+            observability="trace+jsonl",
+            obs_jsonl_path=str(blocker / "run.jsonl"),
+        )
+        with pytest.raises(ReproError, match=re.escape(str(blocker))):
+            MultivariateIPSClassifier(config).fit(X, y)
 
 
 class TestMultivariateGenerator:

@@ -1,9 +1,10 @@
 """Serving-layer unit tests: artifacts, admission, breaker, service semantics.
 
-The chaos campaigns live in ``test_serve_chaos.py``; this module pins
-the deterministic per-component contracts:
+The chaos campaigns live in ``test_serve_chaos.py`` and the
+offline = served = artifact matrix in ``test_differential.py``; this
+module pins the deterministic per-component contracts:
 
-* artifacts round-trip bit-identically, and every way an artifact can be
+* artifacts hold only the model, and every way an artifact can be
   wrong (missing, corrupt, truncated, version-drifted, not-a-model) is
   refused with the *right* typed error;
 * the admission queue implements both overflow policies exactly;
@@ -90,14 +91,12 @@ def rewrite_manifest(artifact_dir, dest, **updates):
 
 
 class TestArtifacts:
-    def test_round_trip_bit_identical(
-        self, artifact_dir, frozen_classifier, request_matrix
-    ):
+    def test_payload_holds_only_the_model(self, artifact_dir, tiny_two_class):
+        # Loaded rows equal the live classifier's: tests/test_differential.py.
         loaded = load_artifact(artifact_dir)
-        np.testing.assert_array_equal(
-            loaded.predict(request_matrix),
-            frozen_classifier.predict(request_matrix),
-        )
+        assert loaded._dataset is None
+        assert loaded.discoverer_ is None and loaded.discovery_result_ is None
+        assert (artifact_dir / "model.bin").stat().st_size < tiny_two_class.X.nbytes
 
     def test_manifest_records_provenance(self, artifact_dir, tiny_two_class):
         manifest = read_manifest(artifact_dir)
@@ -157,6 +156,13 @@ class TestArtifacts:
     def test_future_format_version_refused(self, artifact_dir, tmp_path):
         bad = rewrite_manifest(artifact_dir, tmp_path / "v999", format_version=999)
         with pytest.raises(ArtifactVersionError, match="format_version"):
+            load_artifact(bad)
+
+    def test_format_1_artifact_asks_for_re_export(self, artifact_dir, tmp_path):
+        # Format 1 pickled the training set and the _svm/_scaler/_transform
+        # layout; it is refused by version before anything is unpickled.
+        bad = rewrite_manifest(artifact_dir, tmp_path / "v1", format_version=1)
+        with pytest.raises(ArtifactVersionError, match="re-export"):
             load_artifact(bad)
 
     def test_version_drift_refused_only_when_strict(
@@ -392,13 +398,6 @@ class TestInferenceService:
         assert stats["completed"] == n
         for key in ("failed", "shed", "rejected", "expired"):
             assert stats[key] == 0, key
-
-    def test_single_predict_matches_offline(
-        self, frozen_classifier, request_matrix
-    ):
-        offline = frozen_classifier.predict(request_matrix[:1])[0]
-        with InferenceService(frozen_classifier) as service:
-            assert service.predict_one(request_matrix[0]) == offline
 
     @pytest.mark.parametrize(
         "method", ["predict", "predict_proba", "decision_function"]

@@ -3,7 +3,7 @@
 Covers the three layers of :mod:`repro.streaming` — matcher, transform,
 early classifier — plus the chunked-replay drivers in
 :mod:`repro.datasets.replay`. The bit-identity *property* (arbitrary
-chunkings vs the batch ``direct`` engine) lives in
+chunkings vs the batch direct kernel) lives in
 ``tests/test_streaming_property.py``; this module pins the API contract:
 readiness, latching, reasons, budgets, metrics, and input validation.
 """
@@ -17,6 +17,7 @@ from repro.core.budget import Budget
 from repro.core.transform import ShapeletTransform
 from repro.datasets.replay import iter_chunks, replay_dataset
 from repro.exceptions import NotFittedError, ValidationError
+from repro.kernels import SeriesCache, direct_min_distance
 from repro.obs.metrics import MetricsRegistry
 from repro.streaming import (
     REASONS,
@@ -27,6 +28,12 @@ from repro.streaming import (
     StreamingTransform,
 )
 from repro.types import Shapelet
+
+
+def direct_row(shapelets, series):
+    """The batch anchor: direct-kernel distances over the whole series."""
+    queries = [s.values for s in shapelets]
+    return direct_min_distance(queries, series[None], cache=SeriesCache())[0]
 
 
 @pytest.fixture()
@@ -42,10 +49,9 @@ class TestStreamingMatcher:
         matcher = StreamingMatcher(shapelets)
         for chunk in iter_chunks(random_series, 16):
             matcher.append(chunk)
-        batch = ShapeletTransform(shapelets, engine="direct").transform(
-            random_series
+        np.testing.assert_array_equal(
+            matcher.distances(), direct_row(shapelets, random_series)
         )
-        np.testing.assert_array_equal(matcher.distances(), batch[0])
 
     def test_accepts_raw_arrays_and_scalars(self, rng):
         query = rng.normal(size=4)
@@ -99,19 +105,16 @@ class TestStreamingTransform:
         stream = StreamingTransform(shapelets)
         for chunk in iter_chunks(random_series, 7):
             features = stream.append(chunk)
-        batch = ShapeletTransform(shapelets, engine="direct").transform(
-            random_series
-        )
-        np.testing.assert_array_equal(features, batch[0])
-        np.testing.assert_array_equal(stream.features, batch[0])
+        batch = direct_row(shapelets, random_series)
+        np.testing.assert_array_equal(features, batch)
+        np.testing.assert_array_equal(stream.features, batch)
 
     def test_from_transform(self, shapelets, random_series):
-        batch = ShapeletTransform(shapelets, engine="direct")
-        stream = StreamingTransform.from_transform(batch)
+        stream = StreamingTransform.from_transform(ShapeletTransform(shapelets))
         for chunk in iter_chunks(random_series, 32):
             stream.append(chunk)
         np.testing.assert_array_equal(
-            stream.features, batch.transform(random_series)[0]
+            stream.features, direct_row(shapelets, random_series)
         )
 
     def test_from_transform_rejects_unfitted(self):

@@ -5,7 +5,7 @@ Two properties hold the whole design together:
 1. **Bit-identity** — a series fed to :class:`repro.streaming.
    StreamingTransform` in chunks of *any* sizes (including one sample at
    a time) yields exactly the bits of the batch
-   ``ShapeletTransform(engine="direct")`` row. Not approximately: the
+   :func:`repro.kernels.direct_min_distance` row. Not approximately: the
    streaming path reuses the batch kernels on identical slices, so
    ``np.array_equal`` must hold.
 2. **Early = final** — at the calibrated operating point
@@ -23,8 +23,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.transform import ShapeletTransform
 from repro.datasets.replay import iter_chunks
+from repro.kernels import SeriesCache, direct_min_distance
 from repro.streaming import EarlyClassifier, StreamingTransform
 from repro.types import Shapelet
 
@@ -44,6 +44,11 @@ def _random_problem(seed: int, n_shapelets: int, length: int):
     return shapelets, series
 
 
+def _direct_row(shapelets, series):
+    queries = [s.values for s in shapelets]
+    return direct_min_distance(queries, series[None], cache=SeriesCache())[0]
+
+
 @settings(max_examples=25, deadline=None)
 @given(
     seed=st.integers(0, 10_000),
@@ -58,8 +63,7 @@ def test_fixed_chunking_bit_identical_to_batch(
     stream = StreamingTransform(shapelets)
     for chunk in iter_chunks(series, chunk_size):
         stream.append(chunk)
-    batch = ShapeletTransform(shapelets, engine="direct").transform(series)
-    assert np.array_equal(stream.features, batch[0])
+    assert np.array_equal(stream.features, _direct_row(shapelets, series))
 
 
 @settings(max_examples=25, deadline=None)
@@ -73,8 +77,7 @@ def test_ragged_chunking_bit_identical_to_batch(seed, jitter_seed, max_chunk):
     stream = StreamingTransform(shapelets)
     for chunk in iter_chunks(series, max_chunk, jitter_seed=jitter_seed):
         stream.append(chunk)
-    batch = ShapeletTransform(shapelets, engine="direct").transform(series)
-    assert np.array_equal(stream.features, batch[0])
+    assert np.array_equal(stream.features, _direct_row(shapelets, series))
 
 
 @settings(max_examples=15, deadline=None)
