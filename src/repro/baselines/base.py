@@ -12,7 +12,6 @@ from abc import ABC, abstractmethod
 
 import numpy as np
 
-from repro.classify.scaler import StandardScaler
 from repro.classify.svm import OneVsRestSVM
 from repro.core.model import ShapeletModel, ShapeletModelPredictor
 from repro.core.transform import ShapeletTransform
@@ -62,15 +61,13 @@ class ShapeletTransformClassifier(ShapeletModelPredictor, ParamsMixin, ABC):
             shapelets = self.discover(dataset)
         self.discovery_seconds_ = times["discovery"]
         self.shapelets_ = shapelets
-        transform = ShapeletTransform(shapelets)
-        scaler = StandardScaler()
-        with NULL_TRACER.stage("transform", times):
-            features = scaler.fit_transform(transform.transform(dataset.X))
-        svm = OneVsRestSVM(C=self.svm_c, seed=self.seed)
-        with NULL_TRACER.stage("classify", times):
-            svm.fit(features, dataset.y)
-        self.model_ = ShapeletModel(
-            transform, scaler, svm, dataset.classes_, dataset.series_length
+        self.model_ = ShapeletModel.fit(
+            ShapeletTransform(shapelets),
+            dataset,
+            OneVsRestSVM(C=self.svm_c, seed=self.seed),
+            "svm",
+            NULL_TRACER,
+            times,
         )
         self.perf_ = {**counters.snapshot(), "phase_seconds": times}
         return self

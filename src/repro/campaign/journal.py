@@ -26,7 +26,7 @@ import warnings
 from pathlib import Path
 
 from repro.exceptions import JournalError
-from repro.io import atomic_write
+from repro.io import atomic_write, sweep_dead_temp_files
 
 
 class Journal:
@@ -34,6 +34,7 @@ class Journal:
 
     def __init__(self, path: str | Path) -> None:
         self.path = Path(path)
+        sweep_dead_temp_files(self.path.parent, self.path.name)
 
     @property
     def quarantine_path(self) -> Path:

@@ -31,7 +31,13 @@ import warnings
 from pathlib import Path
 
 from repro.exceptions import CampaignError
-from repro.io import atomic_write, check_manifest, read_json, sha256_bytes
+from repro.io import (
+    atomic_write,
+    check_manifest,
+    read_json,
+    sha256_bytes,
+    sweep_dead_temp_files,
+)
 
 #: Bumped whenever the cell-file layout changes incompatibly.
 CAMPAIGN_FORMAT_VERSION = 1
@@ -47,6 +53,8 @@ class CellStore:
         self.campaign_dir = Path(campaign_dir)
         self.cells_dir = self.campaign_dir / _CELLS
         self.cells_dir.mkdir(parents=True, exist_ok=True)
+        sweep_dead_temp_files(self.campaign_dir)
+        sweep_dead_temp_files(self.cells_dir)
 
     # -- manifest ---------------------------------------------------------
 

@@ -4,7 +4,8 @@ IPS and every shapelet-transform baseline classify through the same
 downstream stack (the Bake Off protocol: differences in accuracy come
 from discovery alone). :class:`ShapeletModel` is that stack once fitted,
 and :class:`ShapeletModelPredictor` is the Predictor surface a pipeline
-classifier exposes over its ``model_``. Serving, artifacts and early
+classifier exposes over its ``model_``. :meth:`ShapeletModel.fit` is the
+one place the stack is fitted. Serving, artifacts and early
 classification read the model, never the classifier's internals.
 """
 
@@ -14,7 +15,7 @@ import copy
 
 import numpy as np
 
-from repro.core.transform import ShapeletTransform
+from repro.classify.scaler import StandardScaler
 from repro.exceptions import NotFittedError, ValidationError
 
 
@@ -28,7 +29,9 @@ class ShapeletModel:
     Attributes
     ----------
     transform:
-        The fitted :class:`~repro.core.transform.ShapeletTransform`.
+        The fitted :class:`~repro.core.transform.ShapeletTransform` (or,
+        for multivariate input, one per dimension behind
+        :class:`~repro.multivariate.pipeline.ChannelShapeletTransform`).
     scaler:
         The fitted feature scaler.
     classifier:
@@ -42,7 +45,7 @@ class ShapeletModel:
 
     def __init__(
         self,
-        transform: ShapeletTransform,
+        transform,
         scaler,
         classifier,
         classes_: np.ndarray,
@@ -54,11 +57,38 @@ class ShapeletModel:
         self.classes_ = classes_
         self.series_length = series_length
 
+    @classmethod
+    def fit(
+        cls,
+        transform,
+        dataset,
+        classifier,
+        classifier_name: str,
+        tracer,
+        times: dict,
+    ) -> "ShapeletModel":
+        """Fit the stack on ``dataset`` (a ``Dataset`` or ``MultivariateDataset``).
+
+        The ``transform`` stage embeds ``dataset.X``; the ``classify``
+        stage fits the scaler on the embedding and ``classifier`` on the
+        scaled features and internal labels. Both stages add their time
+        into ``times`` and record a span on ``tracer`` (the span's
+        ``classifier`` attribute is ``classifier_name``).
+        """
+        with tracer.stage("transform", times, n_shapelets=transform.n_features):
+            features = transform.transform(dataset.X)
+        with tracer.stage("classify", times, classifier=classifier_name):
+            scaler = StandardScaler()
+            scaled = scaler.fit_transform(features)
+            classifier.fit(scaled, dataset.y)
+        return cls(
+            transform, scaler, classifier, dataset.classes_, dataset.series_length
+        )
+
     def with_cache(self, cache) -> "ShapeletModel":
         """A copy whose transform is bound to ``cache`` (or to none)."""
         model = copy.copy(self)
-        model.transform = copy.copy(self.transform)
-        model.transform.cache = cache
+        model.transform = self.transform.with_cache(cache)
         return model
 
     def _features(self, X: np.ndarray) -> np.ndarray:

@@ -7,7 +7,6 @@ import warnings
 import numpy as np
 
 from repro.classify.naive_bayes import GaussianNB
-from repro.classify.scaler import StandardScaler
 from repro.classify.svm import OneVsRestSVM
 from repro.classify.tree import DecisionTree
 from repro.core.config import IPSConfig
@@ -479,16 +478,13 @@ class IPSClassifier(ShapeletModelPredictor, ParamsMixin):
         transform_cache = self.discoverer_.kernel_cache_
         if transform_cache is None:
             transform_cache = SeriesCache(counters=counters)
-        transform = ShapeletTransform(result.shapelets, cache=transform_cache)
-        with tracer.stage("transform", times, n_shapelets=len(result.shapelets)):
-            features = transform.transform(dataset.X)
-        with tracer.stage("classify", times, classifier=config.final_classifier):
-            scaler = StandardScaler()
-            scaled = scaler.fit_transform(features)
-            inner = _make_final_classifier(config)
-            inner.fit(scaled, dataset.y)
-        self.model_ = ShapeletModel(
-            transform, scaler, inner, dataset.classes_, dataset.series_length
+        self.model_ = ShapeletModel.fit(
+            ShapeletTransform(result.shapelets, cache=transform_cache),
+            dataset,
+            _make_final_classifier(config),
+            config.final_classifier,
+            tracer,
+            times,
         )
         if counters.enabled:
             result.extra["perf"] = {

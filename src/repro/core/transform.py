@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import copy
+
 import numpy as np
 
 from repro.exceptions import NotFittedError, ValidationError
@@ -59,6 +61,12 @@ class ShapeletTransform(ParamsMixin):
             raise ValidationError("at least one shapelet is required")
         self.shapelets_ = list(shapelets)
         return self
+
+    def with_cache(self, cache: SeriesCache | None) -> "ShapeletTransform":
+        """A copy bound to ``cache`` (or to none), sharing the shapelets."""
+        bound = copy.copy(self)
+        bound.cache = cache
+        return bound
 
     @property
     def n_features(self) -> int:

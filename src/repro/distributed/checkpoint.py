@@ -32,7 +32,7 @@ import numpy as np
 
 from repro.distributed.executor import WorkUnit
 from repro.exceptions import CheckpointError
-from repro.io import atomic_write, check_manifest
+from repro.io import atomic_write, check_manifest, sweep_dead_temp_files
 from repro.types import Candidate, CandidateKind
 
 _MANIFEST = "manifest.json"
@@ -49,6 +49,7 @@ class CheckpointStore:
     def __init__(self, run_dir: str | Path) -> None:
         self.run_dir = Path(run_dir)
         self.run_dir.mkdir(parents=True, exist_ok=True)
+        sweep_dead_temp_files(self.run_dir)
 
     def _unit_path(self, key: str) -> Path:
         return self.run_dir / f"unit_{key}.npz"

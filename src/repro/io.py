@@ -3,9 +3,11 @@
 Every store writes through :func:`atomic_write`: the payload goes to a
 same-directory ``<name>.<pid>.tmp`` file, is flushed and fsync'd, then
 ``os.replace``'d over the final name, so a reader sees the previous or
-the new complete file, never a torn one. What a store does with a bad
-file on *read* is its own policy (docs/robustness.md, "Crash-safe
-writes").
+the new complete file, never a torn one. A writer killed mid-write
+leaves its temp file behind; every store calls
+:func:`sweep_dead_temp_files` when it opens its directory. What a store
+does with a bad file on *read* is its own policy (docs/robustness.md,
+"Crash-safe writes").
 """
 
 from __future__ import annotations
@@ -14,7 +16,11 @@ import contextlib
 import hashlib
 import json
 import os
+import re
 from pathlib import Path
+
+#: ``<name>.<pid>.tmp``, the temp-file name :func:`atomic_write` uses.
+_TEMP_NAME = re.compile(r"(.+)\.(\d+)\.tmp")
 
 
 def atomic_write(path: str | Path, payload: bytes, error: type[Exception]) -> None:
@@ -37,6 +43,39 @@ def atomic_write(path: str | Path, payload: bytes, error: type[Exception]) -> No
         if isinstance(exc, OSError):
             raise error(f"cannot write {path}: {exc}") from exc
         raise
+
+
+def _pid_alive(pid: int) -> bool:
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    except (PermissionError, OverflowError):  # another user's, or not a pid
+        return True
+    return True
+
+
+def sweep_dead_temp_files(directory: str | Path, name: str | None = None) -> None:
+    """Remove the temp files that killed :func:`atomic_write` callers left.
+
+    Every ``<name>.<pid>.tmp`` file in ``directory`` (only those for the
+    given ``name``, when set) whose pid is no longer alive is deleted; a
+    live writer's file, this process's included, is kept. Pids are
+    checked in this process's pid namespace, so a directory written by
+    processes in other containers must not be swept. A missing or
+    unreadable directory, or a file that cannot be removed, is skipped.
+    """
+    try:
+        entries = list(Path(directory).iterdir())
+    except OSError:
+        return
+    for path in entries:
+        match = _TEMP_NAME.fullmatch(path.name)
+        if match is None or (name is not None and match[1] != name):
+            continue
+        if not _pid_alive(int(match[2])):
+            with contextlib.suppress(OSError):
+                path.unlink()
 
 
 def sha256_bytes(payload: bytes) -> str:

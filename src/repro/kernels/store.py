@@ -35,7 +35,7 @@ import numpy as np
 import scipy
 
 from repro.exceptions import SpectraStoreError
-from repro.io import atomic_write, sha256_bytes
+from repro.io import atomic_write, sha256_bytes, sweep_dead_temp_files
 
 #: Bumped whenever the entry layout changes incompatibly; part of the key,
 #: so old-format entries simply become unreachable.
@@ -96,6 +96,7 @@ class SpectraStore:
             raise SpectraStoreError(
                 f"spectra store path {self.directory} is not a directory"
             )
+        sweep_dead_temp_files(self.directory)
 
     def _paths(self, key: str) -> tuple[Path, Path]:
         return self.directory / f"{key}.npy", self.directory / f"{key}.json"

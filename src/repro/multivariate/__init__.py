@@ -4,7 +4,9 @@ The conclusion of the paper names "apply[ing] IPS for multivariate TSC"
 as future work; this subpackage provides the natural extension: per-
 dimension shapelet discovery with the univariate pipeline, followed by a
 concatenated shapelet transform over all dimensions (the
-dimension-independent strategy of ShapeNet-style baselines).
+dimension-independent strategy of ShapeNet-style baselines), classified
+through the same :class:`~repro.core.model.ShapeletModel` as univariate
+IPS.
 """
 
 from repro.multivariate.dataset import MultivariateDataset

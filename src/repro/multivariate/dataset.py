@@ -46,6 +46,11 @@ class MultivariateDataset:
         return int(self.X.shape[0])
 
     @property
+    def n_series(self) -> int:
+        """Number of instances M (the name a run manifest reads)."""
+        return self.n_instances
+
+    @property
     def n_dimensions(self) -> int:
         """Number of variables D."""
         return int(self.X.shape[1])

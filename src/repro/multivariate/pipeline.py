@@ -4,26 +4,65 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.classify.scaler import StandardScaler
-from repro.classify.svm import OneVsRestSVM
 from repro.core.config import IPSConfig
-from repro.core.pipeline import IPS
+from repro.core.model import ShapeletModel, ShapeletModelPredictor
+from repro.core.pipeline import IPS, _finish_trace, _make_final_classifier
 from repro.core.transform import ShapeletTransform
 from repro.exceptions import EmptyPoolError, NotFittedError, ValidationError
+from repro.kernels import NULL_PERF_COUNTERS, PerfCounters
 from repro.multivariate.dataset import MultivariateDataset
+from repro.obs import make_tracer, run_manifest
 from repro.types import Shapelet
 
 
-class MultivariateIPSClassifier:
+class ChannelShapeletTransform:
+    """One fitted :class:`ShapeletTransform` per kept dimension.
+
+    :meth:`transform` embeds an ``(M, D, N)`` array as the per-dimension
+    shapelet features side by side, in dimension order.
+    """
+
+    def __init__(self, transforms: dict[int, ShapeletTransform]) -> None:
+        self.transforms = dict(sorted(transforms.items()))
+
+    def with_cache(self, cache) -> "ChannelShapeletTransform":
+        """A copy whose per-dimension transforms are bound to ``cache``."""
+        return ChannelShapeletTransform(
+            {dim: t.with_cache(cache) for dim, t in self.transforms.items()}
+        )
+
+    @property
+    def n_features(self) -> int:
+        """Dimensionality of the embedding (shapelets over all dimensions)."""
+        return sum(t.n_features for t in self.transforms.values())
+
+    def transform(self, X: np.ndarray) -> np.ndarray:
+        """Embed every instance of an ``(M, D, N)`` array."""
+        X = np.asarray(X, dtype=np.float64)
+        if X.ndim != 3:
+            raise ValidationError(f"expected (M, D, N) input, got shape {X.shape}")
+        return np.hstack(
+            [t.transform(X[:, dim, :]) for dim, t in self.transforms.items()]
+        )
+
+
+class MultivariateIPSClassifier(ShapeletModelPredictor):
     """IPS for multivariate TSC (the paper's stated future work).
 
     Strategy: run the univariate IPS discovery independently on every
     dimension (each dimension sees the shared labels), then embed an
     instance as the concatenation of its per-dimension shapelet-transform
-    features and classify with one linear SVM. Dimensions whose
-    discovery finds no candidates (:class:`~repro.exceptions.EmptyPoolError`,
-    e.g. a degenerate channel) are skipped with a record in
+    features and classify it through the same
+    :class:`~repro.core.model.ShapeletModel` stack as
+    :class:`~repro.core.pipeline.IPSClassifier` (``config.final_classifier``,
+    the linear SVM by default). Dimensions whose discovery finds no
+    candidates (:class:`~repro.exceptions.EmptyPoolError`, e.g. a
+    degenerate channel) are skipped with a record in
     :attr:`skipped_dimensions_`; any other error propagates.
+
+    One fit runs under one tracer: every dimension's ``discover`` span,
+    then the ``transform`` and ``classify`` stages, land in the same
+    trace, which is finished (and in ``"trace+jsonl"`` written) once.
 
     Parameters
     ----------
@@ -36,65 +75,56 @@ class MultivariateIPSClassifier:
         self.config = config or IPSConfig()
         self.shapelets_per_dim_: dict[int, list[Shapelet]] | None = None
         self.skipped_dimensions_: list[int] = []
-        self._transforms: dict[int, ShapeletTransform] = {}
-        self._scaler: StandardScaler | None = None
-        self._svm: OneVsRestSVM | None = None
-        self._classes: np.ndarray | None = None
+        #: Kernel tallies of every dimension's discovery plus the stage
+        #: times of the whole fit (``None`` in ``"off"`` mode).
+        self.perf_: dict | None = None
 
     def fit_dataset(self, dataset: MultivariateDataset) -> "MultivariateIPSClassifier":
-        """Discover per dimension, then fit the joint SVM."""
+        """Discover per dimension, then fit the joint classifier."""
+        config = self.config
+        tracer = make_tracer(config.observability)
+        times: dict[str, float] = {}
+        counters = PerfCounters() if config.observability != "off" else NULL_PERF_COUNTERS
         self.shapelets_per_dim_ = {}
         self.skipped_dimensions_ = []
-        self._transforms = {}
-        feature_blocks: list[np.ndarray] = []
         for dim in range(dataset.n_dimensions):
-            uni = dataset.dimension(dim)
+            discoverer = IPS(config)
             try:
-                result = IPS(self.config).discover(uni)
+                result = discoverer._discover(dataset.dimension(dim), tracer, times)
             except EmptyPoolError:  # degenerate channel: skip it
                 self.skipped_dimensions_.append(dim)
                 continue
+            finally:
+                if discoverer.perf_counters_ is not None:
+                    counters.merge(discoverer.perf_counters_)
             self.shapelets_per_dim_[dim] = result.shapelets
-            transform = ShapeletTransform(result.shapelets)
-            self._transforms[dim] = transform
-            feature_blocks.append(transform.transform(uni.X))
-        if not feature_blocks:
+        if not self.shapelets_per_dim_:
             raise ValidationError("discovery failed on every dimension")
-        features = np.hstack(feature_blocks)
-        self._scaler = StandardScaler()
-        scaled = self._scaler.fit_transform(features)
-        self._svm = OneVsRestSVM(C=self.config.svm_c, seed=self.config.seed)
-        self._svm.fit(scaled, dataset.y)
-        self._classes = dataset.classes_
+        if tracer.active:
+            tracer.manifest = run_manifest(config, dataset)
+        transforms = {
+            dim: ShapeletTransform(shapelets)
+            for dim, shapelets in self.shapelets_per_dim_.items()
+        }
+        self.model_ = ShapeletModel.fit(
+            ChannelShapeletTransform(transforms),
+            dataset,
+            _make_final_classifier(config),
+            config.final_classifier,
+            tracer,
+            times,
+        )
+        self.perf_ = (
+            {**counters.snapshot(), "phase_seconds": dict(times)}
+            if counters.enabled
+            else None
+        )
+        _finish_trace(tracer, self.perf_, config)
         return self
 
     def fit(self, X: np.ndarray, y: np.ndarray) -> "MultivariateIPSClassifier":
         """Fit on a raw ``(M, D, N)`` array."""
         return self.fit_dataset(MultivariateDataset(X=X, y=y))
-
-    def _features(self, X: np.ndarray) -> np.ndarray:
-        blocks = [
-            self._transforms[dim].transform(X[:, dim, :])
-            for dim in sorted(self._transforms)
-        ]
-        return np.hstack(blocks)
-
-    def predict(self, X: np.ndarray) -> np.ndarray:
-        """Predicted labels (original label values) for ``(M, D, N)`` input."""
-        if self._svm is None or self._scaler is None or self._classes is None:
-            raise NotFittedError("call fit before predict")
-        X = np.asarray(X, dtype=np.float64)
-        if X.ndim != 3:
-            raise ValidationError(f"expected (M, D, N) input, got shape {X.shape}")
-        features = self._scaler.transform(self._features(X))
-        internal = self._svm.predict(features)
-        return self._classes[internal]
-
-    def score(self, X: np.ndarray, y: np.ndarray) -> float:
-        """Accuracy against original-valued labels."""
-        from repro.classify.metrics import accuracy_score
-
-        return accuracy_score(np.asarray(y, dtype=np.int64), self.predict(X))
 
     @property
     def n_shapelets(self) -> int:

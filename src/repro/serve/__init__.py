@@ -13,8 +13,8 @@ robustness-first around the failure modes of each piece:
 * **execution** (:mod:`repro.serve.service`) — per-request validation
   through :mod:`repro.validation`, deadline enforcement at admission and
   kernel-batch boundaries, microbatching through the
-  :mod:`repro.kernels` facade with a warm shared
-  :class:`~repro.kernels.SeriesCache`;
+  :mod:`repro.kernels` facade, one :class:`~repro.kernels.SeriesCache`
+  per microbatch;
 * **resilience** — a :class:`~repro.serve.breaker.CircuitBreaker`
   around the batched path with a serial-fallback degradation ladder,
   and deterministic chaos injection

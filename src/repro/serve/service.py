@@ -7,7 +7,7 @@ Request lifecycle::
               └─> worker thread: collect microbatch
                     ├─ drop requests already past deadline (typed error)
                     ├─ circuit breaker closed? ── batched predict through
-                    │    the repro.kernels facade (warm shared SeriesCache)
+                    │    the repro.kernels facade (one cache per microbatch)
                     │    └─ payload validated; corrupt/failed requests
                     │       fall through ↓, healthy ones complete
                     └─ breaker open, batch crashed, or payload corrupt:
@@ -44,7 +44,6 @@ from repro.exceptions import (
     ServiceClosedError,
     ValidationError,
 )
-from repro.kernels import SeriesCache
 from repro.obs.telemetry import HealthReason, HealthReport
 from repro.serve.breaker import CLOSED, HALF_OPEN, OPEN, CircuitBreaker
 from repro.serve.faults import CORRUPT_LABEL, RequestFaultInjector
@@ -93,10 +92,6 @@ class ServeConfig:
         Circuit-breaker trip streak and open-state cool-down.
     serial_retries:
         Extra attempts each request gets on the serial fallback path.
-    cache_max_entries:
-        The warm shared :class:`SeriesCache` is cleared once it holds
-        this many entries — request matrices are transient, and an
-        identity-keyed cache would otherwise grow without bound.
     """
 
     queue_depth: int = 64
@@ -109,7 +104,6 @@ class ServeConfig:
     breaker_threshold: int = 3
     breaker_reset_s: float = 0.05
     serial_retries: int = 2
-    cache_max_entries: int = 512
 
     def __post_init__(self) -> None:
         if self.queue_depth < 1:
@@ -132,8 +126,6 @@ class ServeConfig:
             raise ValidationError("n_workers must be >= 1")
         if self.serial_retries < 0:
             raise ValidationError("serial_retries must be >= 0")
-        if self.cache_max_entries < 1:
-            raise ValidationError("cache_max_entries must be >= 1")
 
 
 class ServeFuture:
@@ -238,12 +230,13 @@ class InferenceService:
         self._injector = (
             RequestFaultInjector(fault_plan) if fault_plan is not None else None
         )
-        # Warm shared cache + the classifier's model bound to it: the same
+        # The classifier's model, unbound from any kernel cache: the same
         # shapelet objects and classifier weights as offline predict, so
-        # responses stay bit-identical while window stats/FFTs of each
-        # microbatch are computed once per batch, not once per shapelet.
-        self._cache = SeriesCache()
-        self._model = classifier.model_.with_cache(self._cache)
+        # responses stay bit-identical. Each microbatch gets a fresh cache
+        # inside the transform, so its window stats/FFTs are computed
+        # once per batch, not once per shapelet; no microbatch matrix is
+        # ever seen twice, so a longer-lived cache would never hit.
+        self._model = classifier.model_.with_cache(None)
         self.series_length: int = self._model.series_length
         self._classes = np.asarray(self._model.classes_, dtype=np.int64)
         self.queue = AdmissionQueue(
@@ -571,8 +564,6 @@ class InferenceService:
     def _compute_matrix(self, X: np.ndarray, mode: str) -> np.ndarray:
         """One microbatch through the offline-identical kernel path in the
         requested mode (the chaos tests intercept this hook)."""
-        if len(self._cache) > self.config.cache_max_entries:
-            self._cache.clear()
         if mode == "label":
             return self._model.predict(X)
         if mode == "proba":
@@ -721,7 +712,6 @@ class InferenceService:
             stats = dict(self._stats)
         stats["queue"] = self.queue.stats()
         stats["breaker"] = self.breaker.stats()
-        stats["cache_entries"] = len(self._cache)
         if self.slo is not None:
             stats["slo"] = self.slo.snapshot()
         return stats

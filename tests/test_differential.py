@@ -7,9 +7,16 @@ served by :class:`~repro.serve.InferenceService` one request per
 microbatch, the answer of one microbatch of all ``M`` rows, and (IPS
 only) the answers of a loaded artifact are bit-equal. Both classifiers
 refuse to score unseen labels and build an early classifier.
+
+The multivariate row runs offline only (serving ``(D, N)`` requests is
+out of scope): each row asked alone answers the bits of the batch in
+every mode, labels follow the scores, and the labels match a digest
+pinned before the classifier moved onto the shared model.
 """
 
 from __future__ import annotations
+
+import hashlib
 
 import numpy as np
 import pytest
@@ -17,7 +24,9 @@ import pytest
 from repro.baselines import MPBaseline
 from repro.core.config import IPSConfig
 from repro.core.pipeline import IPSClassifier
+from repro.datasets import make_multivariate_planted
 from repro.exceptions import ValidationError
+from repro.multivariate import MultivariateIPSClassifier
 from repro.serve import InferenceService, ServeConfig, load_artifact, save_artifact
 from repro.streaming import EarlyClassifier
 
@@ -108,3 +117,55 @@ class TestSharedSurface:
         early = EarlyClassifier.from_classifier(classifier)
         assert early.predictor is classifier.model_.classifier
         np.testing.assert_array_equal(early.classes, classifier.classes_)
+
+
+#: SHA-256 of the multivariate classifier's int64 labels on
+#: ``mv_requests``, as its private transform -> scaler -> SVM stack
+#: predicted them.
+MULTIVARIATE_LABELS_SHA256 = (
+    "28b5e44ba3c5e81de92dc3c8830faa6c05632a00cfa7f4ac1d74f0a967a31c25"
+)
+
+
+@pytest.fixture(scope="module")
+def multivariate():
+    return make_multivariate_planted(3, 18, 3, 64, informative_dimensions=2, seed=11)
+
+
+@pytest.fixture(scope="module")
+def mv_classifier(multivariate):
+    config = IPSConfig(k=2, q_n=6, q_s=3, seed=7)
+    return MultivariateIPSClassifier(config).fit_dataset(multivariate)
+
+
+@pytest.fixture(scope="module")
+def mv_requests(multivariate):
+    # Noisy enough that the labels are not just the training labels.
+    rng = np.random.default_rng(0)
+    return multivariate.X + rng.normal(size=multivariate.X.shape)
+
+
+class TestMultivariateRow:
+    @pytest.mark.parametrize("mode", MODES)
+    def test_offline_row_alone_equals_batch(self, mv_classifier, mv_requests, mode):
+        ask = getattr(mv_classifier, MODES[mode])
+        alone = np.concatenate([ask(mv_requests[i : i + 1]) for i in range(len(mv_requests))])
+        np.testing.assert_array_equal(alone, ask(mv_requests), strict=True)
+
+    def test_labels_follow_scores(self, mv_classifier, mv_requests):
+        labels = mv_classifier.predict(mv_requests)
+        for method in ("predict_proba", "decision_function"):
+            scores = getattr(mv_classifier, method)(mv_requests)
+            assert scores.shape == (len(mv_requests), mv_classifier.classes_.size)
+            np.testing.assert_array_equal(
+                mv_classifier.classes_[np.argmax(scores, axis=1)], labels
+            )
+
+    def test_labels_match_pinned_digest(self, mv_classifier, mv_requests):
+        labels = np.ascontiguousarray(mv_classifier.predict(mv_requests), dtype=np.int64)
+        assert hashlib.sha256(labels.tobytes()).hexdigest() == MULTIVARIATE_LABELS_SHA256
+
+    def test_score_rejects_unseen_labels(self, mv_classifier, mv_requests):
+        y = np.full(len(mv_requests), mv_classifier.classes_.max() + 1)
+        with pytest.raises(ValidationError, match="unseen"):
+            mv_classifier.score(mv_requests, y)

@@ -9,9 +9,11 @@ Three parts:
   campaign cell store, campaign journal, distributed checkpoint), each
   under round trip, truncated file, one flipped byte, and a stray temp
   file from a killed writer, checked against the store's documented
-  read-side policy (docs/robustness.md, "Crash-safe writes").
+  read-side policy (docs/robustness.md, "Crash-safe writes"). Every
+  store but the artifact sweeps dead writers' temp files when it opens.
 * ``TestSigkill`` — writers SIGKILL'd mid-loop leave either no file or a
-  complete earlier payload.
+  complete earlier payload, and a store opened afterwards removes their
+  temp files but keeps a live writer's.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from __future__ import annotations
 import errno
 import hashlib
 import json
+import os
 import random
 import re
 import signal
@@ -41,14 +44,21 @@ from repro.exceptions import (
     ReproError,
     SpectraStoreError,
 )
-from repro.io import atomic_write, check_manifest, sha256_bytes, sha256_file
+from repro.io import (
+    atomic_write,
+    check_manifest,
+    sha256_bytes,
+    sha256_file,
+    sweep_dead_temp_files,
+)
 from repro.kernels import SpectraStore
 from repro.obs import Trace
 from repro.serve import load_artifact, save_artifact
 from repro.types import Candidate, CandidateKind
 
-#: Pid of a writer that was killed before it could rename its temp file.
-KILLED_PID = 4242
+#: Pid of a writer that was killed before it could rename its temp file:
+#: Linux's PID_MAX_LIMIT (2**22), which no live process can have.
+KILLED_PID = 4_194_304
 
 
 def stray_name(name: str) -> str:
@@ -458,6 +468,10 @@ class TestStores:
         case.write(tmp_path)
         case.write_stray(tmp_path)
         case.assert_stray_ignored(tmp_path)
+        # Opening the store swept the dead writer's files (artifacts are
+        # written once by save_artifact and never reopened for writing).
+        if store != "artifact":
+            assert temp_files(tmp_path) == []
 
 
 # -- SIGKILL ----------------------------------------------------------------
@@ -514,6 +528,29 @@ class TestSigkill:
             if target.exists():
                 digest, _, body = target.read_bytes().partition(b"\n")
                 assert sha256_bytes(body).encode() == digest
-            # A killed writer leaves at most its own pid-suffixed temp file.
+            # A killed writer leaves at most its own pid-suffixed temp file,
+            # and a store opened on its directory sweeps it.
             leftovers = temp_files(target.parent)
             assert leftovers in ([], [target.with_name(f"payload.bin.{proc.pid}.tmp")])
+            SpectraStore(target.parent)
+            assert temp_files(target.parent) == []
+
+    def test_sweep_keeps_live_writers_and_foreign_files(self, tmp_path):
+        sleeper = subprocess.Popen([sys.executable, "-c", "import time; time.sleep(60)"])
+        try:
+            live = [tmp_path / f"a.npy.{pid}.tmp" for pid in (os.getpid(), sleeper.pid)]
+            foreign = [tmp_path / "notes.tmp", tmp_path / "c.npy.12x.tmp"]
+            for path in (*live, *foreign, tmp_path / stray_name("b.npy")):
+                path.write_bytes(b"torn")
+            sweep_dead_temp_files(tmp_path)
+            assert temp_files(tmp_path) == sorted(live + foreign)
+        finally:
+            sleeper.kill()
+            sleeper.wait(timeout=30)
+
+    def test_journal_sweeps_only_its_own_temp_files(self, tmp_path):
+        mine, other = tmp_path / stray_name("journal.jsonl"), tmp_path / stray_name("x.json")
+        for path in (mine, other):
+            path.write_bytes(b"torn")
+        Journal(tmp_path / "journal.jsonl")
+        assert temp_files(tmp_path) == [other]

@@ -7,8 +7,10 @@ import re
 import numpy as np
 import pytest
 
+from repro.classify.naive_bayes import GaussianNB
 from repro.core.config import IPSConfig
 from repro.core.pipeline import IPS
+from repro.core.transform import ShapeletTransform
 from repro.datasets.generators import make_planted_dataset
 from repro.exceptions import (
     EmptyPoolError,
@@ -16,7 +18,9 @@ from repro.exceptions import (
     ReproError,
     ValidationError,
 )
+from repro.kernels import SeriesCache
 from repro.multivariate import MultivariateDataset, MultivariateIPSClassifier
+from repro.obs import Trace, load_trace
 
 
 def _make_mv(n: int = 24, n_dims: int = 3, length: int = 60, seed: int = 0):
@@ -116,19 +120,80 @@ class TestMultivariateIPSClassifier:
 
     def test_dimension_without_candidates_is_skipped(self, monkeypatch):
         X, y = _make_mv(n=16, seed=3)
-        discover = IPS.discover
+        discover = IPS._discover
 
-        def empty_on_dimension_1(self, dataset):
+        def empty_on_dimension_1(self, dataset, tracer, times):
             if np.array_equal(dataset.X, X[:, 1, :]):
                 raise EmptyPoolError("no candidates on this channel")
-            return discover(self, dataset)
+            return discover(self, dataset, tracer, times)
 
-        monkeypatch.setattr(IPS, "discover", empty_on_dimension_1)
+        monkeypatch.setattr(IPS, "_discover", empty_on_dimension_1)
         config = IPSConfig(k=2, q_n=6, q_s=3, length_ratios=(0.2, 0.35), seed=0)
         clf = MultivariateIPSClassifier(config).fit(X, y)
         assert clf.skipped_dimensions_ == [1]
         assert set(clf.shapelets_per_dim_) == {0, 2}
         assert clf.predict(X).shape == (16,)
+
+    def test_transform_puts_dimensions_side_by_side(self, fitted):
+        clf, X_test, _y = fitted
+        blocks = [
+            ShapeletTransform(shapelets).transform(X_test[:, dim, :])
+            for dim, shapelets in sorted(clf.shapelets_per_dim_.items())
+        ]
+        np.testing.assert_array_equal(clf.transform(X_test), np.hstack(blocks))
+
+    def test_with_cache_binds_every_dimension(self, fitted):
+        clf, X_test, _y = fitted
+        cache = SeriesCache()
+        bound = clf.model_.with_cache(cache)
+        assert all(t.cache is cache for t in bound.transform.transforms.values())
+        assert all(t.cache is None for t in clf.model_.transform.transforms.values())
+        np.testing.assert_array_equal(bound.predict(X_test), clf.predict(X_test))
+
+    def test_final_classifier_is_honoured(self):
+        X, y = _make_mv(n=24, seed=3)
+        config = IPSConfig(
+            k=2, q_n=6, q_s=3, length_ratios=(0.2, 0.35), seed=0,
+            final_classifier="nb",
+        )
+        clf = MultivariateIPSClassifier(config).fit(X[:16], y[:16])
+        assert isinstance(clf.model_.classifier, GaussianNB)
+        proba = clf.predict_proba(X[16:])
+        assert proba.shape == (8, 2)
+        np.testing.assert_array_equal(
+            clf.predict(X[16:]), clf.classes_[np.argmax(proba, axis=1)]
+        )
+
+    def test_trace_jsonl_is_written_once_with_every_dimension(
+        self, tmp_path, monkeypatch
+    ):
+        X, y = _make_mv(n=16, n_dims=3, seed=3)
+        path = tmp_path / "run.jsonl"
+        config = IPSConfig(
+            k=2, q_n=6, q_s=3, length_ratios=(0.2, 0.35), seed=0,
+            observability="trace+jsonl", obs_jsonl_path=str(path),
+        )
+        writes = []
+        to_jsonl = Trace.to_jsonl
+
+        def counting_to_jsonl(self, target=None):
+            writes.append(target)
+            return to_jsonl(self, target)
+
+        monkeypatch.setattr(Trace, "to_jsonl", counting_to_jsonl)
+        clf = MultivariateIPSClassifier(config).fit(X, y)
+        assert writes == [str(path)]
+        trace = load_trace(path)
+        kept = sorted(clf.shapelets_per_dim_)
+        assert [root.name for root in trace.roots] == [
+            *(["discover"] * len(kept)), "transform", "classify",
+        ]
+        assert [span.attrs["dataset"] for span in trace.find("discover")] == [
+            f"[dim={dim}]" for dim in kept
+        ]
+        assert trace.manifest["dataset"]["n_series"] == 16
+        counters = trace.metrics.snapshot()["counters"]
+        assert counters["kernels.kernel_calls"] == clf.perf_["kernel_calls"] > 0
 
     def test_unwritable_trace_path_raises_naming_it(self, tmp_path):
         X, y = _make_mv(n=16, seed=3)

@@ -24,10 +24,13 @@ Contracts pinned here:
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+
 import numpy as np
 import pytest
 
 from repro.baselines.fast_shapelets import FastShapelets
+from repro.classify.scaler import StandardScaler
 from repro.baselines.mp_base import MPBaseline
 from repro.cli import main as cli_main
 from repro.core.budget import Budget
@@ -50,7 +53,7 @@ from repro.obs import (
     run_manifest,
 )
 from repro.obs.manifest import git_sha
-from repro.obs.trace import NULL_SPAN, Span, jsonify
+from repro.obs.trace import NULL_SPAN, NullTracer, Span, jsonify
 
 
 @pytest.fixture(scope="module")
@@ -523,6 +526,39 @@ class TestBaselinePerf:
         model = MPBaseline(k=2, seed=0).fit_dataset(dataset)
         assert model.perf_ is not None
         assert model.perf_["cache_hits"] + model.perf_["cache_misses"] > 0
+        assert list(model.perf_["phase_seconds"]) == [
+            "discovery", "transform", "classify",
+        ]
+        assert model.perf_["phase_seconds"]["discovery"] == model.discovery_seconds_
+
+    def test_baseline_fits_its_scaler_in_the_classify_stage(
+        self, dataset, monkeypatch
+    ):
+        """Baselines fit through IPS's stage layout: the ``transform``
+        stage embeds, the ``classify`` stage fits scaler and SVM."""
+        open_stages: list[str] = []
+        scaler_fits: list[list[str]] = []
+        stage = NullTracer.stage
+
+        @contextmanager
+        def recording_stage(self, name, times, **attrs):
+            open_stages.append(name)
+            try:
+                with stage(self, name, times, **attrs) as span:
+                    yield span
+            finally:
+                open_stages.pop()
+
+        fit_transform = StandardScaler.fit_transform
+
+        def recording_fit_transform(self, X):
+            scaler_fits.append(list(open_stages))
+            return fit_transform(self, X)
+
+        monkeypatch.setattr(NullTracer, "stage", recording_stage)
+        monkeypatch.setattr(StandardScaler, "fit_transform", recording_fit_transform)
+        model = MPBaseline(k=2, seed=0).fit_dataset(dataset)
+        assert scaler_fits == [["classify"]]
         assert list(model.perf_["phase_seconds"]) == [
             "discovery", "transform", "classify",
         ]

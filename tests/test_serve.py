@@ -324,7 +324,6 @@ class TestServeConfig:
             {"validation": "maybe"},
             {"n_workers": 0},
             {"serial_retries": -1},
-            {"cache_max_entries": 0},
         ],
     )
     def test_bad_config_refused(self, kwargs):
@@ -544,4 +543,3 @@ class TestInferenceService:
         )
         assert stats["queue"]["admitted"] == 1
         assert stats["breaker"]["state"] == CLOSED
-        assert stats["cache_entries"] >= 0
