@@ -36,11 +36,18 @@ verify-perf:
 # End-to-end benchmark, the repo's one performance harness: the
 # benchmark's smoke tests, then one full run of each workload (end-to-end
 # and per-layer metrics for fit, predict, serve and stream; about a
-# minute each). See e2ebench/README.md.
+# minute each). The last run is traced: the benchmark wraps the pipeline's
+# call sites (generate_candidates, DABF.build/prune,
+# score_with_class_fallback, the transform, scaler and SVM, ...) in spans
+# and counts a fit whose stages miss a wrapper, or leave more than 2% of
+# fit_s unattributed, as a failed operation (a "failed: trace: ..." line
+# and "correct": false in the result line), so it shows a change to those
+# call sites that the wrappers stop catching. See e2ebench/README.md.
 verify-e2e:
 	$(PYTHON) -m pytest e2ebench/test_smoke.py -q
 	python3 e2ebench/run.py --workload fit_long --seed 1 --seconds 42 --trace 0
 	python3 e2ebench/run.py --workload fit_many --seed 1 --seconds 42 --trace 0
+	python3 e2ebench/run.py --workload fit_many --seed 1 --seconds 42 --trace 1
 
 # Observability gate: span-tree/metrics/manifest/JSONL + telemetry
 # tests (the `obs` marker), including instrumented-vs-bare serving

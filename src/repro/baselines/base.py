@@ -15,8 +15,7 @@ import numpy as np
 from repro.classify.svm import OneVsRestSVM
 from repro.core.model import ShapeletModel, ShapeletModelPredictor
 from repro.core.transform import ShapeletTransform
-from repro.kernels import PerfCounters
-from repro.obs import NULL_TRACER
+from repro.obs import NULL_TRACER, make_tracer
 from repro.ts.series import Dataset
 from repro.types import ParamsMixin, Shapelet
 
@@ -26,7 +25,9 @@ class ShapeletTransformClassifier(ShapeletModelPredictor, ParamsMixin, ABC):
 
     Subclasses implement :meth:`discover`; everything else (timing,
     transform, SVM, label round-tripping) is shared, and the fitted stack
-    is the same :class:`~repro.core.model.ShapeletModel` IPS builds.
+    is the same :class:`~repro.core.model.ShapeletModel` IPS builds. A
+    fit runs under one ``"counters"`` tracer, IPS's per-run instrument,
+    so its stages and kernel tallies are measured by the same code.
     """
 
     def __init__(
@@ -41,35 +42,36 @@ class ShapeletTransformClassifier(ShapeletModelPredictor, ParamsMixin, ABC):
         self.completed_: bool = True
         self.shapelets_: list[Shapelet] | None = None
         self.discovery_seconds_: float = float("nan")
-        #: Live counters a subclass's ``discover`` can report kernel-cache
-        #: work into (``SeriesCache(counters=self.perf_counters_)``).
-        self.perf_counters_: PerfCounters = PerfCounters()
-        #: Snapshot of :attr:`perf_counters_` plus the discovery, transform
-        #: and classify stage times, taken at the end of ``fit_dataset`` —
-        #: the baseline analogue of ``DiscoveryResult.extra["perf"]``.
+        #: The fit's kernel tallies plus its discovery, transform and
+        #: classify stage times (``tracer.perf()`` at the end of
+        #: ``fit_dataset``) — the baseline analogue of
+        #: ``DiscoveryResult.extra["perf"]``.
         self.perf_: dict | None = None
 
     @abstractmethod
-    def discover(self, dataset: Dataset) -> list[Shapelet]:
-        """Return the discovered shapelets for a training dataset."""
+    def discover(self, dataset: Dataset, tracer=NULL_TRACER) -> list[Shapelet]:
+        """Return the discovered shapelets for a training dataset.
+
+        A kernel cache made for the run counts into ``tracer.counters``
+        (``SeriesCache(counters=tracer.counters)``); outside a fit the
+        default :data:`~repro.obs.NULL_TRACER` leaves it private tallies.
+        """
 
     def fit_dataset(self, dataset: Dataset) -> "ShapeletTransformClassifier":
         """Discover, then fit the shared transform + SVM stack."""
-        counters = self.perf_counters_ = PerfCounters()
-        times: dict[str, float] = {}
-        with NULL_TRACER.stage("discovery", times):
-            shapelets = self.discover(dataset)
-        self.discovery_seconds_ = times["discovery"]
+        tracer = make_tracer("counters")
+        with tracer.stage("discovery"):
+            shapelets = self.discover(dataset, tracer)
+        self.discovery_seconds_ = tracer.times["discovery"]
         self.shapelets_ = shapelets
         self.model_ = ShapeletModel.fit(
             ShapeletTransform(shapelets),
             dataset,
             OneVsRestSVM(C=self.svm_c, seed=self.seed),
             "svm",
-            NULL_TRACER,
-            times,
+            tracer,
         )
-        self.perf_ = {**counters.snapshot(), "phase_seconds": times}
+        self.perf_ = tracer.finish()
         return self
 
     def fit(self, X: np.ndarray, y: np.ndarray) -> "ShapeletTransformClassifier":

@@ -27,6 +27,7 @@ from repro.exceptions import ValidationError
 from repro.filters.bloom import BloomFilter
 from repro.instanceprofile.sampling import resolve_lengths
 from repro.kernels import distance_profile
+from repro.obs import NULL_TRACER
 from repro.ts.series import Dataset
 from repro.types import Shapelet
 
@@ -100,7 +101,7 @@ class BSPCover(ShapeletTransformClassifier):
                     candidates.append((values.copy(), label, row_idx, start))
         return candidates
 
-    def discover(self, dataset: Dataset) -> list[Shapelet]:
+    def discover(self, dataset: Dataset, tracer=NULL_TRACER) -> list[Shapelet]:
         """Full BSPCOVER discovery."""
         if dataset.n_classes < 2:
             raise ValidationError("BSPCOVER requires at least 2 classes")

@@ -20,6 +20,7 @@ from repro.baselines.sax import sax_word
 from repro.exceptions import ValidationError
 from repro.instanceprofile.sampling import resolve_lengths
 from repro.kernels import SeriesCache, batch_min_distance
+from repro.obs import NULL_TRACER
 from repro.ts.series import Dataset
 from repro.types import Shapelet
 
@@ -73,7 +74,7 @@ class FastShapelets(ShapeletTransformClassifier):
         self.sax_alphabet = sax_alphabet
         self.stride_fraction = stride_fraction
 
-    def discover(self, dataset: Dataset) -> list[Shapelet]:
+    def discover(self, dataset: Dataset, tracer=NULL_TRACER) -> list[Shapelet]:
         """SAX + random masking discovery.
 
         With :attr:`budget` set, the budget is checked between masking
@@ -159,8 +160,8 @@ class FastShapelets(ShapeletTransformClassifier):
         # One cache spans the whole refinement: the training matrix's FFT
         # spectra and window statistics are shared across every candidate
         # (and across classes), instead of being redone per candidate.
-        # Its hit/miss/FFT tallies land in ``self.perf_``.
-        refine_cache = SeriesCache(counters=self.perf_counters_)
+        # Its hit/miss/FFT tallies land in ``tracer.counters``.
+        refine_cache = SeriesCache(counters=tracer.counters)
         shapelets: list[Shapelet] = []
         for label in range(dataset.n_classes):
             label_idx = [i for i, e in enumerate(entries) if e[1] == label]

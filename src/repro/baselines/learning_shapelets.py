@@ -22,7 +22,7 @@ import numpy as np
 
 from repro.classify.kmeans import KMeans
 from repro.exceptions import NotFittedError, ValidationError
-from repro.obs import NULL_TRACER
+from repro.obs import make_tracer
 from repro.ts.series import Dataset
 from repro.types import ParamsMixin, Shapelet
 
@@ -75,6 +75,9 @@ class LearningShapelets(ParamsMixin):
         self.seed = seed
         self.shapelets_: list[Shapelet] | None = None
         self.discovery_seconds_: float = float("nan")
+        #: The fit's kernel tallies and its ``discovery`` stage time, as
+        #: for the transform baselines' ``perf_``.
+        self.perf_: dict | None = None
         self._S: np.ndarray | None = None  # (n_shapelets, L)
         self._W: np.ndarray | None = None  # (n_classes, n_shapelets)
         self._b: np.ndarray | None = None
@@ -115,8 +118,8 @@ class LearningShapelets(ParamsMixin):
 
     def fit_dataset(self, dataset: Dataset) -> "LearningShapelets":
         """Jointly learn shapelets and the logistic head."""
-        times: dict[str, float] = {}
-        with NULL_TRACER.stage("discovery", times):
+        tracer = make_tracer("counters")
+        with tracer.stage("discovery"):
             rng = np.random.default_rng(self.seed)
             length = max(4, int(round(self.length_ratio * dataset.series_length)))
             length = min(length, dataset.series_length)
@@ -149,11 +152,12 @@ class LearningShapelets(ParamsMixin):
                 self._W -= self.lr * grad_W
                 self._b -= self.lr * grad_b
                 self._S -= self.lr * grad_S
-        self.discovery_seconds_ = times["discovery"]
+        self.discovery_seconds_ = tracer.times["discovery"]
         self.shapelets_ = [
             Shapelet(values=self._S[i].copy(), label=int(i // self.k_per_class) % n_classes)
             for i in range(n_shp)
         ]
+        self.perf_ = tracer.finish()
         return self
 
     def fit(self, X: np.ndarray, y: np.ndarray) -> "LearningShapelets":

@@ -25,6 +25,7 @@ from repro.instanceprofile.sampling import resolve_lengths
 from repro.kernels import SeriesCache
 from repro.matrixprofile.profile import profile_diff
 from repro.matrixprofile.stomp import ab_join, stomp_self_join
+from repro.obs import NULL_TRACER
 from repro.ts.concat import concatenate_series
 from repro.ts.series import Dataset
 from repro.types import Shapelet
@@ -117,7 +118,7 @@ class MPBaseline(ShapeletTransformClassifier):
         )
         return profile_diff(p_cross, p_self), own
 
-    def discover(self, dataset: Dataset) -> list[Shapelet]:
+    def discover(self, dataset: Dataset, tracer=NULL_TRACER) -> list[Shapelet]:
         """Top-k largest-difference windows per class (Formula 4).
 
         With :attr:`budget` set, the length grid is processed
@@ -133,8 +134,8 @@ class MPBaseline(ShapeletTransformClassifier):
         # One kernel cache and one set of concatenations for the whole
         # run: the class series' FFT spectra and rolling statistics are
         # computed once and reused across the entire length grid. The
-        # cache's hit/miss/FFT tallies land in ``self.perf_``.
-        cache = SeriesCache(counters=self.perf_counters_)
+        # cache's hit/miss/FFT tallies land in ``tracer.counters``.
+        cache = SeriesCache(counters=tracer.counters)
         concats = {
             label: self._class_concats(dataset, label)
             for label in range(dataset.n_classes)

@@ -17,6 +17,7 @@ from repro.classify.kmeans import KMeans
 from repro.exceptions import ValidationError
 from repro.instanceprofile.sampling import resolve_lengths
 from repro.kernels import distance_profile
+from repro.obs import NULL_TRACER
 from repro.ts.series import Dataset
 from repro.types import Shapelet
 
@@ -53,7 +54,7 @@ class ScalableDiscovery(ShapeletTransformClassifier):
         self.samples_per_class = samples_per_class
         self.length_ratios = length_ratios
 
-    def discover(self, dataset: Dataset) -> list[Shapelet]:
+    def discover(self, dataset: Dataset, tracer=NULL_TRACER) -> list[Shapelet]:
         """Cluster-prototype discovery."""
         if dataset.n_classes < 2:
             raise ValidationError("SD requires at least 2 classes")

@@ -17,6 +17,7 @@ from repro.baselines.quality import best_information_gain
 from repro.exceptions import ValidationError
 from repro.instanceprofile.sampling import resolve_lengths
 from repro.kernels import SeriesCache, batch_min_distance, subsequence_distance
+from repro.obs import NULL_TRACER
 from repro.ts.series import Dataset
 from repro.types import Shapelet
 
@@ -56,7 +57,7 @@ class ShapeletTransformST(ShapeletTransformClassifier):
         self.similarity_reject = similarity_reject
         self.n_candidates_searched_: int = 0
 
-    def discover(self, dataset: Dataset) -> list[Shapelet]:
+    def discover(self, dataset: Dataset, tracer=NULL_TRACER) -> list[Shapelet]:
         """Information-gain search over sampled candidates."""
         if dataset.n_classes < 2:
             raise ValidationError("ST requires at least 2 classes")

@@ -44,6 +44,7 @@ from repro.core.config import IPSConfig
 from repro.core.pipeline import IPS
 from repro.datasets.loader import load_dataset
 from repro.datasets.registry import REGISTRY
+from repro.obs import OBSERVABILITY_MODES
 
 
 def _add_common_dataset_args(parser: argparse.ArgumentParser) -> None:
@@ -592,7 +593,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument(
         "--obs",
         default=None,
-        choices=["off", "counters", "trace", "trace+jsonl"],
+        choices=OBSERVABILITY_MODES,
         help="observability mode for the run (IPS / IPS-DIST only); "
         "trace+jsonl writes .repro-obs/last-run.jsonl for `repro obs report`",
     )

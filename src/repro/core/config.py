@@ -9,12 +9,10 @@ from dataclasses import dataclass, field
 
 from repro.core.budget import Budget
 from repro.exceptions import ConfigError, ValidationError
+from repro.obs.trace import check_observability
 
 #: Accepted values of ``IPSConfig.validation_mode``.
 VALIDATION_MODES: tuple[str, ...] = ("strict", "repair", "off")
-
-#: Accepted values of ``IPSConfig.observability`` (see ``repro.obs``).
-OBSERVABILITY_MODES: tuple[str, ...] = ("off", "counters", "trace", "trace+jsonl")
 
 #: The paper's candidate-length ratio grid.
 DEFAULT_LENGTH_RATIOS: tuple[float, ...] = (0.1, 0.2, 0.3, 0.4, 0.5)
@@ -174,8 +172,9 @@ class IPSConfig:
         recomputed, never served.
     observability:
         How much the run observes itself (:mod:`repro.obs`): ``"off"``
-        (no counters, no trace — the no-op singletons ride the hot
-        paths), ``"counters"`` (default: kernel perf counters and stage
+        (no trace and nothing attached — the run's tracer still counts
+        kernel work, since counting is cheaper than a no-op sink),
+        ``"counters"`` (default: kernel perf counters and stage
         times, ``extra["perf"]``), ``"trace"``
         (adds the span tree, metrics registry, and run manifest at
         ``DiscoveryResult.extra["trace"]``), or ``"trace+jsonl"``
@@ -275,11 +274,7 @@ class IPSConfig:
             )
         if self.budget is not None and not isinstance(self.budget, Budget):
             raise ValidationError("budget must be a Budget or None")
-        if self.observability not in OBSERVABILITY_MODES:
-            raise ValidationError(
-                f"unknown observability {self.observability!r}; "
-                f"choose from {OBSERVABILITY_MODES}"
-            )
+        check_observability(self.observability)
         if self.streaming_margin_threshold < 0:
             raise ValidationError(
                 "streaming_margin_threshold must be >= 0, got "

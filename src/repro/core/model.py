@@ -16,6 +16,7 @@ import copy
 import numpy as np
 
 from repro.classify.scaler import StandardScaler
+from repro.core.transform import ShapeletTransform
 from repro.exceptions import NotFittedError, ValidationError
 
 
@@ -65,19 +66,18 @@ class ShapeletModel:
         classifier,
         classifier_name: str,
         tracer,
-        times: dict,
     ) -> "ShapeletModel":
         """Fit the stack on ``dataset`` (a ``Dataset`` or ``MultivariateDataset``).
 
         The ``transform`` stage embeds ``dataset.X``; the ``classify``
         stage fits the scaler on the embedding and ``classifier`` on the
-        scaled features and internal labels. Both stages add their time
-        into ``times`` and record a span on ``tracer`` (the span's
-        ``classifier`` attribute is ``classifier_name``).
+        scaled features and internal labels. Both are stages of the run's
+        ``tracer`` (the ``classify`` span's ``classifier`` attribute is
+        ``classifier_name``).
         """
-        with tracer.stage("transform", times, n_shapelets=transform.n_features):
+        with tracer.stage("transform", n_shapelets=transform.n_features):
             features = transform.transform(dataset.X)
-        with tracer.stage("classify", times, classifier=classifier_name):
+        with tracer.stage("classify", classifier=classifier_name):
             scaler = StandardScaler()
             scaled = scaler.fit_transform(features)
             classifier.fit(scaled, dataset.y)
@@ -121,6 +121,27 @@ class ShapeletModel:
     def decision_function(self, X: np.ndarray) -> np.ndarray:
         """Per-class decision values, ``(M, C)`` in :attr:`classes_` order."""
         return self._scores(X, "decision_function")
+
+
+def univariate_model(classifier, consumer: str) -> ShapeletModel:
+    """The fitted :class:`ShapeletModel` of a classifier that ``consumer``
+    (serving, early classification) can run on one ``(N,)`` series.
+
+    Raises :class:`~repro.exceptions.NotFittedError` for an unfitted
+    classifier and :class:`~repro.exceptions.ValidationError` when the
+    model's transform is not one univariate :class:`ShapeletTransform`
+    (a multivariate model embeds ``(M, D, N)`` input).
+    """
+    model = getattr(classifier, "model_", None)
+    if model is None:
+        raise NotFittedError(f"{consumer} needs a fitted shapelet-pipeline classifier")
+    if not isinstance(model.transform, ShapeletTransform):
+        raise ValidationError(
+            f"{consumer} runs univariate (N,) series; "
+            f"{type(classifier).__name__} embeds with a "
+            f"{type(model.transform).__name__}"
+        )
+    return model
 
 
 class ShapeletModelPredictor:

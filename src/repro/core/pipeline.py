@@ -22,9 +22,9 @@ from repro.core.utility import (
 from repro.exceptions import EmptyPoolError, NotFittedError
 from repro.filters.dabf import DABF, NaivePruner, PruneReport
 from repro.instanceprofile.candidates import CandidatePool, generate_candidates
-from repro.kernels import NULL_PERF_COUNTERS, PerfCounters, SeriesCache
+from repro.kernels import SeriesCache
 from repro.instanceprofile.sampling import resolve_lengths
-from repro.obs import DEFAULT_JSONL_PATH, NULL_TRACER, make_tracer, run_manifest
+from repro.obs import NULL_TRACER, make_tracer, run_manifest
 from repro.ts.series import Dataset
 from repro.types import DiscoveryResult, ParamsMixin, PredictorMixin, Shapelet
 
@@ -83,16 +83,6 @@ def score_with_class_fallback(scorer, pruned, pool, labels, tracer=NULL_TRACER) 
     return scores_by_class
 
 
-def _finish_trace(tracer, perf: dict | None, config: IPSConfig) -> None:
-    """Close a run's trace once, in the code that made the tracer: record
-    the final ``extra["perf"]`` in its metrics and write the JSONL sink."""
-    if not tracer.active:
-        return
-    tracer.metrics.absorb_perf(perf)
-    if tracer.mode == "trace+jsonl":
-        tracer.to_jsonl(config.obs_jsonl_path or DEFAULT_JSONL_PATH)
-
-
 class IPS:
     """Shapelet discovery with the instance profile (the paper's method).
 
@@ -108,13 +98,12 @@ class IPS:
         self.pruned_pool_: CandidatePool | None = None
         self.dabf_: DABF | None = None
         self.prune_report_: PruneReport | None = None
-        self.perf_counters_: PerfCounters | None = None
         self.kernel_cache_: SeriesCache | None = None
         #: Trace of the last run (``None`` unless tracing was active).
         self.trace_ = None
 
     def _generate(
-        self, dataset: Dataset, lengths, tracker, tracer, counters, gen_span
+        self, dataset: Dataset, lengths, tracker, tracer, gen_span
     ) -> tuple[CandidatePool, dict]:
         """Algorithm 1: the candidate pool plus generation-specific extras.
 
@@ -134,7 +123,6 @@ class IPS:
             normalized=config.normalized_profiles,
             seed=config.seed,
             budget_tracker=tracker,
-            perf_counters=counters,
             tracer=tracer,
         )
         return pool, {}
@@ -154,25 +142,20 @@ class IPS:
         the guaranteed one-round minimum.
         """
         tracer = make_tracer(self.config.observability)
-        result = self._discover(dataset, tracer, {})
-        _finish_trace(tracer, result.extra.get("perf"), self.config)
+        result = self._discover(dataset, tracer)
+        tracer.finish(self.config.obs_jsonl_path)
         return result
 
-    def _discover(self, dataset: Dataset, tracer, times: dict) -> DiscoveryResult:
-        """:meth:`discover` on the caller's tracer, adding the stage times
-        into ``times``; the caller finishes the trace."""
+    def _discover(self, dataset: Dataset, tracer) -> DiscoveryResult:
+        """:meth:`discover` on the caller's tracer, whose stage times and
+        kernel counters it adds into; the caller finishes the run."""
         config = self.config
         lengths = resolve_lengths(dataset.series_length, config.length_ratios)
         tracker = config.budget.start() if config.budget is not None else None
         self.trace_ = tracer if tracer.active else None
         if tracer.active:
             tracer.manifest = run_manifest(config, dataset)
-        counters = (
-            PerfCounters()
-            if config.observability != "off"
-            else NULL_PERF_COUNTERS
-        )
-        self.perf_counters_ = counters
+        counters = tracer.counters
         # Run-wide series cache shared by the scoring and transform phases
         # (generation uses per-unit caches to bound memory — see
         # instanceprofile.candidates — but reports into the same counters).
@@ -195,10 +178,10 @@ class IPS:
             seed=config.seed,
         ):
             with tracer.stage(
-                "generation", times, q_n=config.q_n, q_s=config.q_s, lengths=lengths
+                "generation", q_n=config.q_n, q_s=config.q_s, lengths=lengths
             ) as gen_span:
                 pool, gen_extra = self._generate(
-                    dataset, lengths, tracker, tracer, counters, gen_span
+                    dataset, lengths, tracker, tracer, gen_span
                 )
                 gen_span.set(n_candidates=len(pool))
                 tracer.count("candidates.generated", len(pool))
@@ -213,7 +196,7 @@ class IPS:
                     reason=tracker.check(),
                 )
             dabf: DABF | None = None
-            with tracer.stage("pruning", times) as prune_span:
+            with tracer.stage("pruning") as prune_span:
                 if out_of_budget:
                     # Pruning is an optimization, not a correctness stage:
                     # skip it to leave the remaining budget to selection.
@@ -288,7 +271,7 @@ class IPS:
                     ),
                 )
 
-            with tracer.stage("selection", times, dt_used=use_dt):
+            with tracer.stage("selection", dt_used=use_dt):
                 if use_dt and dabf is None:
                     # DT needs the bucket tables even when DABF pruning is off.
                     with tracer.span("dabf.build", reason="dt-tables"):
@@ -314,8 +297,9 @@ class IPS:
             "kernel_backend": "reference",
             **gen_extra,
         }
-        if counters.enabled:
-            extra["perf"] = {**counters.snapshot(), "phase_seconds": dict(times)}
+        perf = tracer.perf()
+        if perf is not None:
+            extra["perf"] = perf
         completed = not gen_extra.get("interrupted", False)
         if tracker is not None:
             tracker.record_phase(
@@ -334,6 +318,7 @@ class IPS:
             extra["budget"] = tracker.snapshot()
         if tracer.active:
             extra["trace"] = tracer
+        times = tracer.times
         return DiscoveryResult(
             shapelets=shapelets,
             n_candidates_generated=len(pool),
@@ -439,18 +424,15 @@ class IPSClassifier(ShapeletModelPredictor, ParamsMixin):
         return self._fit(X, y)
 
     def _fit(self, X, y=None) -> "IPSClassifier":
-        """Validate, discover, transform and classify: one tracer and one
-        stage clock (``times``) per fit, and the trace finished here."""
+        """Validate, discover, transform and classify under one tracer,
+        the fit's stage clock and kernel counters, finished here."""
         from repro.validation import validate_dataset
 
         config = self.config
         tracer = make_tracer(config.observability)
-        times: dict[str, float] = {}
         dataset, validation_report = X, None
         if config.validation_mode != "off":
-            with tracer.stage(
-                "validation", times, mode=config.validation_mode
-            ) as span:
+            with tracer.stage("validation", mode=config.validation_mode) as span:
                 validated = validate_dataset(
                     X,
                     y,
@@ -465,7 +447,7 @@ class IPSClassifier(ShapeletModelPredictor, ParamsMixin):
                 )
                 tracer.count("validation.repairs", n_repairs)
             dataset, validation_report = validated.dataset, report
-        result = self.discoverer_._discover(dataset, tracer, times)
+        result = self.discoverer_._discover(dataset, tracer)
         result.extra["validation_report"] = validation_report
         self.discovery_result_ = result
         self.shapelets_ = result.shapelets
@@ -474,22 +456,17 @@ class IPSClassifier(ShapeletModelPredictor, ParamsMixin):
         # the training series' FFT spectra and window statistics computed
         # during utility scoring are reused here instead of redone (and
         # offline predict keeps using it).
-        counters = self.discoverer_.perf_counters_
         transform_cache = self.discoverer_.kernel_cache_
         if transform_cache is None:
-            transform_cache = SeriesCache(counters=counters)
+            transform_cache = SeriesCache(counters=tracer.counters)
         self.model_ = ShapeletModel.fit(
             ShapeletTransform(result.shapelets, cache=transform_cache),
             dataset,
             _make_final_classifier(config),
             config.final_classifier,
             tracer,
-            times,
         )
-        if counters.enabled:
-            result.extra["perf"] = {
-                **counters.snapshot(),
-                "phase_seconds": dict(times),
-            }
-        _finish_trace(tracer, result.extra.get("perf"), config)
+        perf = tracer.finish(config.obs_jsonl_path)
+        if perf is not None:
+            result.extra["perf"] = perf
         return self

@@ -389,7 +389,7 @@ class DistributedIPS(IPS):
         return pool, stats
 
     def _generate(
-        self, dataset: Dataset, lengths, tracker, tracer, counters, gen_span
+        self, dataset: Dataset, lengths, tracker, tracer, gen_span
     ) -> tuple[CandidatePool, dict]:
         """Distributed Algorithm 1: run the work units and merge them.
 
@@ -402,6 +402,7 @@ class DistributedIPS(IPS):
         :meth:`IPS.discover` exactly as for the serial generator.
         """
         config = self.config
+        counters = tracer.counters
         units = self.build_work_units(dataset)
         gen_span.set(n_units=len(units))
         fault_tolerance = config.fault_tolerance

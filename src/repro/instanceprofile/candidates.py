@@ -208,7 +208,6 @@ def generate_candidates(
     normalized: bool = True,
     seed: int | np.random.Generator | None = None,
     budget_tracker=None,
-    perf_counters=None,
     tracer=NULL_TRACER,
 ) -> CandidatePool:
     """Algorithm 1: generate the candidate pool Phi with the IP.
@@ -240,17 +239,15 @@ def generate_candidates(
         per-class candidate lists are identical to the unbudgeted run up
         to the truncation point: bagging samples are pre-drawn in the
         historical class-major RNG order.
-    perf_counters:
-        Optional :class:`repro.kernels.PerfCounters`; per-unit kernel
-        caches report their hit/miss/FFT tallies into it. Never affects
-        the candidates produced.
     tracer:
-        Optional :class:`repro.obs.Trace`; each round records a
-        ``"round"`` span (sample id) holding the batched kernel's
-        ``"stomp"`` span and then one ``"unit"`` span (label, sample id,
-        candidate count) per class, containing an ``"mp"`` span per
-        candidate length for the harvest. Defaults to the no-op
-        :data:`repro.obs.NULL_TRACER`.
+        The run's tracer (:func:`repro.obs.make_tracer`): per-unit kernel
+        caches report their hit/miss/FFT tallies into ``tracer.counters``
+        (never affecting the candidates produced), and a
+        :class:`repro.obs.Trace` records, per round, a ``"round"`` span
+        (sample id) holding the batched kernel's ``"stomp"`` span and
+        then one ``"unit"`` span (label, sample id, candidate count) per
+        class, containing an ``"mp"`` span per candidate length for the
+        harvest. Defaults to the no-op :data:`repro.obs.NULL_TRACER`.
     """
     if tracer is None:
         tracer = NULL_TRACER
@@ -284,7 +281,7 @@ def generate_candidates(
                 motifs_per_profile,
                 discords_per_profile,
                 normalized,
-                counters=perf_counters,
+                counters=tracer.counters,
                 tracer=tracer,
             )
         for unit in found:

@@ -19,7 +19,7 @@ baselines) behind one facade:
   :func:`subsequence_distance` (keyword-only options), the reference
   implementations the batched paths are verified against;
 * :class:`PerfCounters` — cheap counters (kernel calls, cache hits,
-  FFT count, per-phase wall time) surfaced at
+  FFT count), one set per run owned by the run's tracer and surfaced at
   ``DiscoveryResult.extra["perf"]``.
 
 Each distance definition has exactly one implementation, here.
@@ -47,15 +47,9 @@ from repro.kernels.engine import (
     squared_euclidean,
     subsequence_distance,
 )
-from repro.kernels.perf import (
-    NULL_PERF_COUNTERS,
-    NullPerfCounters,
-    PerfCounters,
-)
+from repro.kernels.perf import PerfCounters
 
 __all__ = [
-    "NULL_PERF_COUNTERS",
-    "NullPerfCounters",
     "PerfCounters",
     "RollingStats",
     "SeriesCache",

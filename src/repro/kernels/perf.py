@@ -4,11 +4,15 @@ A :class:`PerfCounters` instance rides along with a
 :class:`repro.kernels.SeriesCache` (or is used standalone) and tallies how
 much distance-kernel work a discovery run performed: scalar and batched
 kernel invocations, forward/inverse FFT transforms, cache hits and misses.
-``IPS.discover`` attaches a :meth:`PerfCounters.snapshot`, next to the
-stage times its tracer measured, to ``DiscoveryResult.extra["perf"]`` so
-benchmarks (and ``e2ebench``'s per-layer metrics) can report regressions
-without re-instrumenting call sites. Wall time is not counted here:
-stages are timed by ``tracer.stage`` (:mod:`repro.obs.trace`).
+A run's counters belong to its tracer (``tracer.counters``, see
+:mod:`repro.obs.trace`), made fresh per run in every observability mode:
+``"off"`` counts too and attaches nothing, because a no-op sink costs
+more per increment than the integer add. ``tracer.perf()`` puts a
+:meth:`PerfCounters.snapshot` next to the stage times in
+``DiscoveryResult.extra["perf"]`` so benchmarks (and ``e2ebench``'s
+per-layer metrics) can report regressions without re-instrumenting call
+sites. Wall time is not counted here: stages are timed by
+``tracer.stage``.
 
 Counting is deliberately cheap (integer adds); the counters never change
 numerical results.
@@ -16,8 +20,7 @@ numerical results.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import ClassVar
+from dataclasses import dataclass, fields
 
 
 @dataclass
@@ -45,10 +48,6 @@ class PerfCounters:
         Lookups against a persistent :class:`~repro.kernels.SpectraStore`
         (cross-run reuse); a disk hit skips the forward FFT entirely.
     """
-
-    #: Real counters record; the no-op singleton advertises False so the
-    #: pipeline can skip snapshot/attach work in ``observability="off"``.
-    enabled: ClassVar[bool] = True
 
     kernel_calls: int = 0
     batch_calls: int = 0
@@ -96,61 +95,7 @@ class PerfCounters:
 
     def merge(self, other: "PerfCounters") -> "PerfCounters":
         """Fold another counter set into this one (returns self)."""
-        self.kernel_calls += other.kernel_calls
-        self.batch_calls += other.batch_calls
-        self.fft_count += other.fft_count
-        self.cache_hits += other.cache_hits
-        self.cache_misses += other.cache_misses
-        self.spectra_disk_hits += other.spectra_disk_hits
-        self.spectra_disk_misses += other.spectra_disk_misses
+        for field in fields(self):
+            name = field.name
+            setattr(self, name, getattr(self, name) + getattr(other, name))
         return self
-
-
-class NullPerfCounters:
-    """Discard-everything stand-in for ``observability="off"`` runs.
-
-    Duck-types :class:`PerfCounters` — increments are swallowed by a
-    no-op ``__setattr__`` and reads always see zeros — so the kernel hot
-    path (``counters.cache_hits += 1`` and friends) runs with zero
-    bookkeeping and zero allocations. Use
-    the shared :data:`NULL_PERF_COUNTERS` singleton; counting is off by
-    construction, so one instance serves every run.
-    """
-
-    enabled = False
-    kernel_calls = 0
-    batch_calls = 0
-    fft_count = 0
-    cache_hits = 0
-    cache_misses = 0
-    cache_lookups = 0
-    hit_rate = 0.0
-    spectra_disk_hits = 0
-    spectra_disk_misses = 0
-    spectra_disk_lookups = 0
-    spectra_disk_hit_rate = 0.0
-
-    def __setattr__(self, name: str, value: object) -> None:
-        pass
-
-    def snapshot(self) -> dict:
-        """All-zero snapshot (shape-compatible with the real one)."""
-        return {
-            "kernel_calls": 0,
-            "batch_calls": 0,
-            "fft_count": 0,
-            "cache_hits": 0,
-            "cache_misses": 0,
-            "cache_hit_rate": 0.0,
-            "spectra_disk_hits": 0,
-            "spectra_disk_misses": 0,
-            "spectra_disk_hit_rate": 0.0,
-        }
-
-    def merge(self, other) -> "NullPerfCounters":
-        """Discard ``other`` (returns self)."""
-        return self
-
-
-#: The process-wide no-op counter sink.
-NULL_PERF_COUNTERS = NullPerfCounters()

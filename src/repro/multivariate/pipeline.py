@@ -6,10 +6,9 @@ import numpy as np
 
 from repro.core.config import IPSConfig
 from repro.core.model import ShapeletModel, ShapeletModelPredictor
-from repro.core.pipeline import IPS, _finish_trace, _make_final_classifier
+from repro.core.pipeline import IPS, _make_final_classifier
 from repro.core.transform import ShapeletTransform
 from repro.exceptions import EmptyPoolError, NotFittedError, ValidationError
-from repro.kernels import NULL_PERF_COUNTERS, PerfCounters
 from repro.multivariate.dataset import MultivariateDataset
 from repro.obs import make_tracer, run_manifest
 from repro.types import Shapelet
@@ -60,9 +59,10 @@ class MultivariateIPSClassifier(ShapeletModelPredictor):
     degenerate channel) are skipped with a record in
     :attr:`skipped_dimensions_`; any other error propagates.
 
-    One fit runs under one tracer: every dimension's ``discover`` span,
-    then the ``transform`` and ``classify`` stages, land in the same
-    trace, which is finished (and in ``"trace+jsonl"`` written) once.
+    One fit runs under one tracer: every dimension's ``discover`` span
+    and kernel work, then the ``transform`` and ``classify`` stages, land
+    in the same record, which is finished (and in ``"trace+jsonl"``
+    written) once.
 
     Parameters
     ----------
@@ -83,20 +83,14 @@ class MultivariateIPSClassifier(ShapeletModelPredictor):
         """Discover per dimension, then fit the joint classifier."""
         config = self.config
         tracer = make_tracer(config.observability)
-        times: dict[str, float] = {}
-        counters = PerfCounters() if config.observability != "off" else NULL_PERF_COUNTERS
         self.shapelets_per_dim_ = {}
         self.skipped_dimensions_ = []
         for dim in range(dataset.n_dimensions):
-            discoverer = IPS(config)
             try:
-                result = discoverer._discover(dataset.dimension(dim), tracer, times)
+                result = IPS(config)._discover(dataset.dimension(dim), tracer)
             except EmptyPoolError:  # degenerate channel: skip it
                 self.skipped_dimensions_.append(dim)
                 continue
-            finally:
-                if discoverer.perf_counters_ is not None:
-                    counters.merge(discoverer.perf_counters_)
             self.shapelets_per_dim_[dim] = result.shapelets
         if not self.shapelets_per_dim_:
             raise ValidationError("discovery failed on every dimension")
@@ -112,14 +106,8 @@ class MultivariateIPSClassifier(ShapeletModelPredictor):
             _make_final_classifier(config),
             config.final_classifier,
             tracer,
-            times,
         )
-        self.perf_ = (
-            {**counters.snapshot(), "phase_seconds": dict(times)}
-            if counters.enabled
-            else None
-        )
-        _finish_trace(tracer, self.perf_, config)
+        self.perf_ = tracer.finish(config.obs_jsonl_path)
         return self
 
     def fit(self, X: np.ndarray, y: np.ndarray) -> "MultivariateIPSClassifier":

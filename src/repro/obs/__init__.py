@@ -8,7 +8,9 @@ the packages the pipeline already uses.
 
 Four pieces:
 
-* :class:`Trace` / :func:`make_tracer` — nestable ``span("phase",
+* :func:`make_tracer` — each run's one instrument: a :class:`Tracer`
+  owns the run's stage times and kernel counters and builds
+  ``extra["perf"]``; a :class:`Trace` adds nestable ``span("phase",
   **attrs)`` context managers producing a run-scoped span tree with
   monotonic timestamps, per-span counters, and a JSONL sink
   (:meth:`Trace.to_jsonl` / :meth:`Trace.from_jsonl`, bit-identical
@@ -29,9 +31,9 @@ Four pieces:
   :class:`~repro.obs.metrics.WindowedHistogram` sliding windows.
 
 Select a mode with ``IPSConfig(observability=...)``: ``"off"`` (no
-observability work at all — the null tracer and the no-op perf-counter
-singleton), ``"counters"`` (the default: kernel counters and stage times
-only), ``"trace"`` (span tree + metrics + manifest at
+spans and nothing attached to the result; the run's tracer still counts,
+which is cheaper than a no-op sink), ``"counters"`` (the default: kernel
+counters and stage times at ``extra["perf"]``), ``"trace"`` (span tree + metrics + manifest at
 ``DiscoveryResult.extra["trace"]``), or ``"trace+jsonl"`` (additionally
 stream the trace to a JSONL file, default ``.repro-obs/last-run.jsonl``).
 See ``docs/observability.md``.
@@ -66,6 +68,7 @@ from repro.obs.trace import (
     NullTracer,
     Span,
     Trace,
+    Tracer,
     jsonify,
     make_tracer,
 )
@@ -84,6 +87,7 @@ __all__ = [
     "Span",
     "TelemetryServer",
     "Trace",
+    "Tracer",
     "UNKNOWN_GIT_SHA",
     "WindowedHistogram",
     "dataset_fingerprint",

@@ -21,7 +21,10 @@ samples. Registries grow windows on demand via
 
 from __future__ import annotations
 
+import dataclasses
 import math
+
+from repro.kernels.perf import PerfCounters
 
 #: Log-scale bucket geometry shared by every window: powers of two from
 #: 1 microsecond up. 40 buckets reach ~5.5e5 (seconds-scale metrics are
@@ -228,16 +231,6 @@ class MetricsRegistry:
         hist["min"] = min(hist["min"], value)
         hist["max"] = max(hist["max"], value)
 
-    _PERF_KEYS = (
-        "kernel_calls",
-        "batch_calls",
-        "fft_count",
-        "cache_hits",
-        "cache_misses",
-        "spectra_disk_hits",
-        "spectra_disk_misses",
-    )
-
     def absorb_perf(self, perf_snapshot: dict) -> None:
         """Record a run's final ``extra["perf"]`` in this registry.
 
@@ -245,7 +238,8 @@ class MetricsRegistry:
         gauges, and the stage times ``phase_seconds.*`` gauges; other
         counters are left alone.
         """
-        for key in self._PERF_KEYS:
+        for field in dataclasses.fields(PerfCounters):
+            key = field.name
             self._counters[f"kernels.{key}"] = perf_snapshot.get(key, 0)
         self.gauge(
             "kernels.cache_hit_rate", perf_snapshot.get("cache_hit_rate", 0.0)

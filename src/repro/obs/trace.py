@@ -1,23 +1,27 @@
-"""Structured tracing: run-scoped span trees with a JSONL sink.
+"""Structured tracing: one per-run instrument, with a span tree and a JSONL sink.
 
-A :class:`Trace` is both the tracer (it owns the ``span()`` context
-manager and the counter hooks the pipeline calls) and the resulting
-artifact (a tree of closed :class:`Span` objects plus a
-:class:`~repro.obs.metrics.MetricsRegistry` and a run manifest). The
-pipeline threads exactly one tracer through a discovery run; call sites
-never branch on the observability mode — in ``"off"`` and ``"counters"``
-modes they receive the shared :data:`NULL_TRACER`, whose ``span()``
-returns a reusable no-op context manager, so the hot paths allocate no
-trace objects at all (``Span.allocated`` counts real allocations, which
-the off-mode test pins at zero).
+Every run owner (``IPS.discover``, the classifier fits, the baselines)
+makes one tracer with :func:`make_tracer` and threads it through the
+run. The tracer is the run's only instrument: it owns the stage times
+and the run's one :class:`~repro.kernels.PerfCounters`, which every
+kernel cache of the run counts into. ``"off"`` and ``"counters"`` runs
+get a :class:`Tracer`, whose ``span()`` returns a reusable no-op context
+manager, so the hot paths allocate no trace objects (``Span.allocated``
+counts real allocations, which the off-mode test pins at zero). The
+trace modes get a :class:`Trace`, the same object plus the span tree
+(a tree of closed :class:`Span` objects, a
+:class:`~repro.obs.metrics.MetricsRegistry` and a run manifest).
+:data:`NULL_TRACER` is only the default of helpers called outside a run.
 
 A pipeline *stage* (generation, pruning, selection, transform, ...) is
-timed once, by ``tracer.stage(name, times)``: the null tracer reads the
+timed once, by ``tracer.stage(name)``: a :class:`Tracer` reads the
 clock around the block, a :class:`Trace` opens a span and reuses its
-duration. Either way the reading is added into ``times[name]``, the one
-source of the ``DiscoveryResult.time_*`` fields, of
-``extra["perf"]["phase_seconds"]`` and of the trace's
-``phase_seconds.*`` gauges.
+duration. Either way the reading is added into ``tracer.times[name]``,
+the one source of the ``DiscoveryResult.time_*`` fields, of
+``extra["perf"]["phase_seconds"]`` (:meth:`Tracer.perf`) and of the
+trace's ``phase_seconds.*`` gauges. :meth:`Tracer.finish` ends the run
+once: a :class:`Trace` records the perf record in its metrics and, in
+``"trace+jsonl"``, writes the JSONL file.
 
 Timestamps are monotonic (``time.perf_counter``) offsets from the trace
 origin, so spans order correctly even across wall-clock adjustments.
@@ -36,6 +40,7 @@ from pathlib import Path
 
 from repro.exceptions import ReproError, ValidationError
 from repro.io import atomic_write
+from repro.kernels.perf import PerfCounters
 from repro.obs.metrics import MetricsRegistry
 
 #: Accepted values of ``IPSConfig.observability``.
@@ -149,29 +154,36 @@ class _NullContext:
 _NULL_CONTEXT = _NullContext()
 
 
+def check_observability(mode: str) -> str:
+    """Return ``mode`` if it is one of :data:`OBSERVABILITY_MODES`.
+
+    The one check of a mode string: :class:`Tracer` (so
+    :func:`make_tracer` and :class:`Trace`) and ``IPSConfig`` call it.
+    """
+    if mode not in OBSERVABILITY_MODES:
+        raise ValidationError(
+            f"unknown observability mode {mode!r}; "
+            f"choose from {OBSERVABILITY_MODES}"
+        )
+    return mode
+
+
 class NullTracer:
-    """The do-nothing tracer used in ``"off"`` and ``"counters"`` modes.
+    """The do-nothing tracer, default of helpers called outside a run.
 
     A process-wide singleton (:data:`NULL_TRACER`): every method is a
-    no-op returning shared objects, so threading it through the pipeline
-    costs a handful of attribute lookups and zero allocations.
+    no-op returning shared objects, and it holds no run counters
+    (``counters`` is ``None``, so a kernel cache made for it keeps
+    private tallies).
     """
 
     __slots__ = ()
     active = False
+    counters = None
 
     def span(self, name: str, **attrs: object) -> _NullContext:
         """A reusable no-op context manager yielding :data:`NULL_SPAN`."""
         return _NULL_CONTEXT
-
-    @contextmanager
-    def stage(self, name: str, times: dict, **attrs: object):
-        """Add the block's wall time into ``times[name]`` (no span)."""
-        start = time.perf_counter()
-        try:
-            yield NULL_SPAN
-        finally:
-            times[name] = times.get(name, 0.0) + (time.perf_counter() - start)
 
     def event(self, name: str, **attrs: object) -> _NullSpan:
         """Discard the event."""
@@ -184,8 +196,48 @@ class NullTracer:
 NULL_TRACER = NullTracer()
 
 
-class Trace:
-    """A run-scoped span tree plus metrics and manifest.
+class Tracer(NullTracer):
+    """The per-run instrument of ``"off"`` and ``"counters"`` runs.
+
+    Fresh for every run (:func:`make_tracer`), it owns the run's stage
+    times (:attr:`times`) and its one
+    :class:`~repro.kernels.PerfCounters` (:attr:`counters`), which every
+    kernel cache of the run counts into. Spans, events and counter bumps
+    stay the null tracer's no-ops, so the hot paths allocate nothing.
+    """
+
+    def __init__(self, mode: str = "counters") -> None:
+        self.mode = check_observability(mode)
+        self.times: dict[str, float] = {}
+        self.counters = PerfCounters()
+
+    @contextmanager
+    def stage(self, name: str, **attrs: object):
+        """Add the block's wall time into ``times[name]`` (no span)."""
+        start = time.perf_counter()
+        try:
+            yield NULL_SPAN
+        finally:
+            self.times[name] = self.times.get(name, 0.0) + (
+                time.perf_counter() - start
+            )
+
+    def perf(self) -> dict | None:
+        """The run's ``extra["perf"]`` record: the kernel tallies plus the
+        stage times as ``phase_seconds`` (``None`` in ``"off"`` mode)."""
+        if self.mode == "off":
+            return None
+        return {**self.counters.snapshot(), "phase_seconds": dict(self.times)}
+
+    def finish(self, jsonl_path: str | Path | None = None) -> dict | None:
+        """End the run, once, in the code that made the tracer; returns
+        :meth:`perf`. A :class:`Trace` also records it in its metrics and,
+        in ``"trace+jsonl"``, writes the JSONL file."""
+        return self.perf()
+
+
+class Trace(Tracer):
+    """A :class:`Tracer` plus the run's span tree, metrics and manifest.
 
     Use :meth:`span` as a context manager; spans nest by runtime call
     structure and are guaranteed closed on exception (the ``finally``
@@ -196,9 +248,7 @@ class Trace:
     active = True
 
     def __init__(self, mode: str = "trace") -> None:
-        if mode not in OBSERVABILITY_MODES:
-            raise ValidationError(f"unknown observability mode {mode!r}")
-        self.mode = mode
+        super().__init__(mode)
         self.manifest: dict = {}
         self.metrics = MetricsRegistry()
         self.roots: list[Span] = []
@@ -226,13 +276,23 @@ class Trace:
                 pass
 
     @contextmanager
-    def stage(self, name: str, times: dict, **attrs: object):
+    def stage(self, name: str, **attrs: object):
         """A :meth:`span` whose duration is also added into ``times[name]``."""
         try:
             with self.span(name, **attrs) as node:
                 yield node
         finally:
-            times[name] = times.get(name, 0.0) + node.duration
+            self.times[name] = self.times.get(name, 0.0) + node.duration
+
+    def finish(self, jsonl_path: str | Path | None = None) -> dict | None:
+        """:meth:`Tracer.finish`, recording the perf record in
+        :attr:`metrics` and writing the JSONL sink in ``"trace+jsonl"``
+        (to ``jsonl_path``, default :data:`DEFAULT_JSONL_PATH`)."""
+        perf = self.perf()
+        self.metrics.absorb_perf(perf)
+        if self.mode == "trace+jsonl":
+            self.to_jsonl(jsonl_path or DEFAULT_JSONL_PATH)
+        return perf
 
     def event(self, name: str, **attrs: object) -> Span:
         """Record a zero-duration span at the current position."""
@@ -384,18 +444,11 @@ class Trace:
         return trace
 
 
-def make_tracer(mode: str) -> Trace | NullTracer:
-    """The tracer for an observability mode.
+def make_tracer(mode: str) -> Tracer:
+    """A fresh per-run instrument for an observability mode.
 
-    ``"trace"``/``"trace+jsonl"`` get a fresh :class:`Trace`;
-    ``"off"``/``"counters"`` share the allocation-free
-    :data:`NULL_TRACER`.
+    ``"trace"``/``"trace+jsonl"`` get a :class:`Trace`, ``"off"`` and
+    ``"counters"`` a :class:`Tracer`; an unknown mode raises
+    :class:`~repro.exceptions.ValidationError`.
     """
-    if mode not in OBSERVABILITY_MODES:
-        raise ValidationError(
-            f"unknown observability mode {mode!r}; "
-            f"choose from {OBSERVABILITY_MODES}"
-        )
-    if mode in ("trace", "trace+jsonl"):
-        return Trace(mode=mode)
-    return NULL_TRACER
+    return Trace(mode) if str(mode).startswith("trace") else Tracer(mode)

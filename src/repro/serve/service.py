@@ -35,10 +35,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.core.model import univariate_model
 from repro.exceptions import (
     DeadlineExceededError,
     InvalidRequestError,
-    NotFittedError,
     RequestFailedError,
     RequestSheddedError,
     ServiceClosedError,
@@ -188,7 +188,8 @@ class InferenceService:
     classifier:
         A fitted :class:`~repro.core.pipeline.IPSClassifier` (typically
         from :func:`repro.serve.load_artifact`) or shapelet-transform
-        baseline; the service serves its ``model_``.
+        baseline; the service serves its ``model_``. A multivariate model
+        is refused with :class:`~repro.exceptions.ValidationError`.
     config:
         :class:`ServeConfig`; defaults are sized for tests/benchmarks.
     fault_plan:
@@ -220,8 +221,7 @@ class InferenceService:
         metrics=None,
         slo=None,
     ) -> None:
-        if getattr(classifier, "model_", None) is None:
-            raise NotFittedError("InferenceService needs a fitted classifier")
+        model = univariate_model(classifier, "InferenceService")
         self.classifier = classifier
         self.config = config or ServeConfig()
         self._clock = clock
@@ -236,7 +236,7 @@ class InferenceService:
         # inside the transform, so its window stats/FFTs are computed
         # once per batch, not once per shapelet; no microbatch matrix is
         # ever seen twice, so a longer-lived cache would never hit.
-        self._model = classifier.model_.with_cache(None)
+        self._model = model.with_cache(None)
         self.series_length: int = self._model.series_length
         self._classes = np.asarray(self._model.classes_, dtype=np.int64)
         self.queue = AdmissionQueue(

@@ -26,7 +26,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.budget import Budget, BudgetTracker
-from repro.exceptions import NotFittedError, ValidationError
+from repro.core.model import univariate_model
+from repro.exceptions import ValidationError
 from repro.obs.metrics import MetricsRegistry
 from repro.streaming.transform import StreamingTransform
 from repro.types import Predictor, decision_margin
@@ -206,13 +207,10 @@ class EarlyClassifier:
         baseline :class:`~repro.baselines.base.ShapeletTransformClassifier`
         — both hold a :class:`~repro.core.model.ShapeletModel` in
         ``model_``: shapelets, a scaler/classifier pair trained on
-        internal labels, and original-valued ``classes_``.
+        internal labels, and original-valued ``classes_``. A multivariate
+        model is refused with :class:`~repro.exceptions.ValidationError`.
         """
-        model = getattr(classifier, "model_", None)
-        if model is None:
-            raise NotFittedError(
-                "from_classifier needs a fitted shapelet-pipeline classifier"
-            )
+        model = univariate_model(classifier, "from_classifier")
         return cls(
             model.classifier,
             model.transform.shapelets_,

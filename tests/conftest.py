@@ -97,3 +97,19 @@ def frozen_classifier(tiny_two_class):
     return IPSClassifier(
         IPSConfig(k=3, q_n=6, q_s=3, seed=7)
     ).fit_dataset(tiny_two_class)
+
+
+@pytest.fixture(scope="session")
+def multivariate_classifier():
+    """A fitted multivariate classifier (``(M, D, N)`` input), which the
+    univariate serving and early-classification layers must refuse."""
+    from repro.core.config import IPSConfig
+    from repro.datasets import make_multivariate_planted
+    from repro.multivariate import MultivariateIPSClassifier
+
+    dataset = make_multivariate_planted(
+        n_classes=2, n_instances=8, n_dimensions=2, length=40, seed=0
+    )
+    return MultivariateIPSClassifier(
+        IPSConfig(k=1, q_n=2, q_s=2, seed=0)
+    ).fit_dataset(dataset)

@@ -203,7 +203,7 @@ class TestDiscoveryIdentity:
             assert a.start == b.start
             np.testing.assert_array_equal(a.values, b.values)
 
-    def test_perf_counters_attached(self, dataset):
+    def test_perf_record_attached(self, dataset):
         result = IPS(IPSConfig(k=2, q_n=3, q_s=2, seed=0)).discover(dataset)
         perf = result.extra["perf"]
         assert perf["kernel_calls"] > 0

@@ -122,10 +122,10 @@ class TestMultivariateIPSClassifier:
         X, y = _make_mv(n=16, seed=3)
         discover = IPS._discover
 
-        def empty_on_dimension_1(self, dataset, tracer, times):
+        def empty_on_dimension_1(self, dataset, tracer):
             if np.array_equal(dataset.X, X[:, 1, :]):
                 raise EmptyPoolError("no candidates on this channel")
-            return discover(self, dataset, tracer, times)
+            return discover(self, dataset, tracer)
 
         monkeypatch.setattr(IPS, "_discover", empty_on_dimension_1)
         config = IPSConfig(k=2, q_n=6, q_s=3, length_ratios=(0.2, 0.35), seed=0)

@@ -17,6 +17,9 @@ Contracts pinned here:
   ``phase_seconds.*`` gauges hold the same float, and a classifier fit
   finishes (absorbs and writes) its trace once;
 * baselines surface kernel perf counters at ``model.perf_``;
+* every run owner (IPS, distributed IPS, the classifier fits, the
+  baselines) measures a run with one tracer, and its perf record, stage
+  spans and trace metrics all read that tracer;
 * distributed discovery leaves one ``"unit"`` event per work unit with
   retry/checkpoint provenance, and otherwise records the serial run's
   stage spans and ``extra["perf"]``.
@@ -24,28 +27,37 @@ Contracts pinned here:
 
 from __future__ import annotations
 
+import dataclasses
 from contextlib import contextmanager
 
 import numpy as np
 import pytest
 
+import repro.baselines.base
+import repro.baselines.learning_shapelets
+import repro.core.pipeline
+import repro.multivariate.pipeline
 from repro.baselines.fast_shapelets import FastShapelets
+from repro.baselines.learning_shapelets import LearningShapelets
 from repro.classify.scaler import StandardScaler
 from repro.baselines.mp_base import MPBaseline
 from repro.cli import main as cli_main
 from repro.core.budget import Budget
 from repro.core.config import IPSConfig
 from repro.core.pipeline import IPS, IPSClassifier
+from repro.datasets import make_multivariate_planted
 from repro.datasets.generators import make_planted_dataset
 from repro.distributed.discovery import DistributedIPS
 from repro.distributed.faults import FaultPlan
 from repro.exceptions import ValidationError
-from repro.kernels import NULL_PERF_COUNTERS, NullPerfCounters, PerfCounters
+from repro.kernels import PerfCounters
+from repro.multivariate import MultivariateIPSClassifier
 from repro.obs import (
     NULL_TRACER,
     UNKNOWN_GIT_SHA,
     MetricsRegistry,
     Trace,
+    Tracer,
     dataset_fingerprint,
     load_trace,
     make_tracer,
@@ -53,7 +65,7 @@ from repro.obs import (
     run_manifest,
 )
 from repro.obs.manifest import git_sha
-from repro.obs.trace import NULL_SPAN, NullTracer, Span, jsonify
+from repro.obs.trace import NULL_SPAN, Span, jsonify
 
 
 @pytest.fixture(scope="module")
@@ -371,7 +383,8 @@ class TestStageClock:
         for stage, field in STAGE_FIELDS.items():
             assert perf["phase_seconds"][stage] == getattr(result, field)
         metrics = Trace.from_jsonl(path).metrics.snapshot()
-        for key in MetricsRegistry._PERF_KEYS:
+        for field in dataclasses.fields(PerfCounters):
+            key = field.name
             assert metrics["counters"][f"kernels.{key}"] == perf[key]
         for stage, seconds in perf["phase_seconds"].items():
             assert metrics["gauges"][f"phase_seconds.{stage}"] == seconds
@@ -426,29 +439,26 @@ class TestOffMode:
 
     def test_null_tracer_is_reusable_and_inert(self):
         before = Span.allocated
-        times: dict[str, float] = {}
+        tracer = make_tracer("off")
         for _ in range(3):
             with NULL_TRACER.span("anything", a=1) as span:
                 assert span is NULL_SPAN
                 span.set(b=2)
-            with NULL_TRACER.stage("stage", times, a=1) as span:
+            with tracer.stage("stage", a=1) as span:
                 assert span is NULL_SPAN
             NULL_TRACER.event("e")
             NULL_TRACER.count("c")
+            tracer.count("c")
         assert Span.allocated == before
-        assert list(times) == ["stage"] and times["stage"] > 0.0
-        assert not NULL_TRACER.active
-        assert make_tracer("off") is NULL_TRACER
-        assert make_tracer("counters") is NULL_TRACER
-
-    def test_null_perf_counters_swallow_everything(self):
-        assert isinstance(NULL_PERF_COUNTERS, NullPerfCounters)
-        assert not NULL_PERF_COUNTERS.enabled
-        assert PerfCounters.enabled
-        NULL_PERF_COUNTERS.cache_hits += 5
-        assert NULL_PERF_COUNTERS.cache_hits == 0
-        assert NULL_PERF_COUNTERS.snapshot()["kernel_calls"] == 0
-        assert NULL_PERF_COUNTERS.merge(PerfCounters()) is NULL_PERF_COUNTERS
+        assert list(tracer.times) == ["stage"] and tracer.times["stage"] > 0.0
+        assert not NULL_TRACER.active and NULL_TRACER.counters is None
+        assert not tracer.active and tracer.perf() is None
+        # Every run gets its own instrument, in every mode.
+        assert make_tracer("off") is not tracer
+        assert type(make_tracer("counters")) is Tracer
+        assert make_tracer("counters").perf() == {
+            **PerfCounters().snapshot(), "phase_seconds": {},
+        }
 
 
 class TestDistributedTrace:
@@ -538,13 +548,13 @@ class TestBaselinePerf:
         stage embeds, the ``classify`` stage fits scaler and SVM."""
         open_stages: list[str] = []
         scaler_fits: list[list[str]] = []
-        stage = NullTracer.stage
+        stage = Tracer.stage
 
         @contextmanager
-        def recording_stage(self, name, times, **attrs):
+        def recording_stage(self, name, **attrs):
             open_stages.append(name)
             try:
-                with stage(self, name, times, **attrs) as span:
+                with stage(self, name, **attrs) as span:
                     yield span
             finally:
                 open_stages.pop()
@@ -555,7 +565,7 @@ class TestBaselinePerf:
             scaler_fits.append(list(open_stages))
             return fit_transform(self, X)
 
-        monkeypatch.setattr(NullTracer, "stage", recording_stage)
+        monkeypatch.setattr(Tracer, "stage", recording_stage)
         monkeypatch.setattr(StandardScaler, "fit_transform", recording_fit_transform)
         model = MPBaseline(k=2, seed=0).fit_dataset(dataset)
         assert scaler_fits == [["classify"]]
@@ -568,6 +578,109 @@ class TestBaselinePerf:
         model = FastShapelets(k=2, seed=0).fit_dataset(dataset)
         assert model.perf_ is not None
         assert model.perf_["cache_misses"] > 0
+
+
+def _multivariate():
+    return make_multivariate_planted(
+        n_classes=2, n_instances=12, n_dimensions=2, length=48,
+        informative_dimensions=2, seed=1,
+    )
+
+
+#: Every run owner: ``(stages, fit)``. ``fit(config)`` runs one fit and
+#: returns the owner's perf record (``extra["perf"]`` or ``perf_``); the
+#: baselines take no config and run in the mode the test forces on them.
+RUN_OWNERS = {
+    "IPS": (
+        list(STAGE_FIELDS),
+        lambda config: IPS(config).discover(_planted(3)).extra["perf"],
+    ),
+    "DistributedIPS": (
+        list(STAGE_FIELDS),
+        lambda config: DistributedIPS(config).discover(_planted(3)).extra["perf"],
+    ),
+    "IPSClassifier": (
+        ["validation", *STAGE_FIELDS, "transform", "classify"],
+        lambda config: IPSClassifier(config)
+        .fit_dataset(_planted(3))
+        .discovery_result_.extra["perf"],
+    ),
+    "MPBaseline": (
+        ["discovery", "transform", "classify"],
+        lambda config: MPBaseline(k=2, seed=0).fit_dataset(_planted(3)).perf_,
+    ),
+    "LearningShapelets": (
+        ["discovery"],
+        lambda config: LearningShapelets(k_per_class=2, epochs=20, seed=0)
+        .fit_dataset(_planted(3))
+        .perf_,
+    ),
+    "MultivariateIPSClassifier": (
+        [*STAGE_FIELDS, "transform", "classify"],
+        lambda config: MultivariateIPSClassifier(config)
+        .fit_dataset(_multivariate())
+        .perf_,
+    ),
+}
+
+#: Every module that makes a run's tracer.
+TRACER_MAKERS = (
+    repro.core.pipeline,
+    repro.multivariate.pipeline,
+    repro.baselines.base,
+    repro.baselines.learning_shapelets,
+)
+
+
+class TestOneRecord:
+    """Each run owner measures its run with one tracer, and every view of
+    the run (the perf record, the stage spans, the trace metrics) reads
+    that tracer's stage times and kernel counters."""
+
+    @pytest.mark.parametrize("mode", ["counters", "trace"])
+    @pytest.mark.parametrize("owner", list(RUN_OWNERS))
+    def test_every_view_reads_one_record(self, owner, mode, monkeypatch):
+        made = []
+
+        def recording_make_tracer(requested):
+            made.append(make_tracer(mode))
+            return made[-1]
+
+        for module in TRACER_MAKERS:
+            monkeypatch.setattr(module, "make_tracer", recording_make_tracer)
+        stages, fit = RUN_OWNERS[owner]
+        perf = fit(_stage_config(observability=mode))
+        [tracer] = made
+        assert list(perf) == [*PerfCounters().snapshot(), "phase_seconds"]
+        assert perf == {
+            **tracer.counters.snapshot(), "phase_seconds": tracer.times,
+        }
+        assert list(perf["phase_seconds"]) == stages
+        if mode == "counters":
+            assert not tracer.active
+            return
+        metrics = tracer.metrics.snapshot()
+        for stage, seconds in perf["phase_seconds"].items():
+            # A multivariate fit runs each discovery stage once per
+            # dimension; the record holds their sum, in span order.
+            assert sum(span.duration for span in tracer.find(stage)) == seconds
+            assert metrics["gauges"][f"phase_seconds.{stage}"] == seconds
+        for field in dataclasses.fields(PerfCounters):
+            key = field.name
+            assert metrics["counters"][f"kernels.{key}"] == perf[key]
+
+    def test_multivariate_counts_every_dimension(self):
+        dataset = _multivariate()
+        config = _stage_config()
+        clf = MultivariateIPSClassifier(config).fit_dataset(dataset)
+        per_dimension = [
+            IPS(config).discover(dataset.dimension(dim)).extra["perf"]
+            for dim in range(dataset.n_dimensions)
+        ]
+        assert clf.perf_["kernel_calls"] > 0
+        for field in dataclasses.fields(PerfCounters):
+            key = field.name
+            assert clf.perf_[key] == sum(perf[key] for perf in per_dimension)
 
 
 class TestReportAndCli:

@@ -344,6 +344,12 @@ class TestInferenceService:
         with pytest.raises(NotFittedError):
             InferenceService(IPSClassifier(IPSConfig()))
 
+    def test_multivariate_model_refused_up_front(self, multivariate_classifier):
+        """A multivariate model embeds ``(M, D, N)`` input; the service
+        takes ``(N,)`` series, so it is refused before any worker runs."""
+        with pytest.raises(ValidationError, match="ChannelShapeletTransform"):
+            InferenceService(multivariate_classifier)
+
     def test_happy_path_bit_identical(self, frozen_classifier, request_matrix):
         offline = frozen_classifier.predict(request_matrix)
         with InferenceService(frozen_classifier) as service:

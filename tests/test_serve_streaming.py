@@ -72,6 +72,10 @@ class TestStreamConfig:
 
 
 class TestSessions:
+    def test_multivariate_model_refused_up_front(self, multivariate_classifier):
+        with pytest.raises(ValidationError, match="ChannelShapeletTransform"):
+            StreamingInferenceService(multivariate_classifier)
+
     def test_stream_series_matches_batch_at_inf_threshold(
         self, service, tiny_two_class
     ):

@@ -255,6 +255,10 @@ class TestEarlyClassifier:
         with pytest.raises(NotFittedError):
             EarlyClassifier.from_classifier(IPSClassifier(IPSConfig()))
 
+    def test_from_classifier_rejects_multivariate(self, multivariate_classifier):
+        with pytest.raises(ValidationError, match="ChannelShapeletTransform"):
+            EarlyClassifier.from_classifier(multivariate_classifier)
+
     def test_labels_are_original_class_values(self, rng):
         """A predictor trained on internal 0..C-1 labels emits originals."""
         from repro.core.config import IPSConfig
